@@ -394,17 +394,18 @@ func BenchmarkGFKernelSyndromeSlice(b *testing.B) {
 }
 
 // --- Kernel tier A/B: the same hot codec loops forced onto each GF
-// kernel tier (internal/gf/tier.go). The auto row is the calibrated
-// per-(op, length) dispatch; the other rows pin the process-wide tier
-// exactly as GFP_KERNEL_TIER / -kernel-tier would, so the BENCH json
-// records where each tier wins and that auto tracks the winner. ---
+// kernel tier (internal/gf/tier.go). The auto row is the static
+// dispatch rule; the other rows pin the process-wide tier exactly as
+// GFP_KERNEL_TIER would, so the BENCH json records the measurements the
+// rule is fixed from. A forced clmul tier runs the plan fold and the
+// scalar reference for every other op. ---
 
 // benchPerTier runs fn once per tier as a sub-benchmark named after the
 // tier, forcing the process-wide tier for its duration.
 func benchPerTier(b *testing.B, fn func(b *testing.B)) {
-	defer gf.ForceKernelTier(gf.TierAuto)
+	defer gf.ForceKernelTier(gf.ForcedKernelTier())
 	for _, tier := range []gf.TierID{
-		gf.TierAuto, gf.TierScalar, gf.TierTable, gf.TierBitsliced, gf.TierCLMul,
+		gf.TierAuto, gf.TierScalar, gf.TierTable, gf.TierCLMul,
 	} {
 		b.Run(tier.String(), func(b *testing.B) {
 			gf.ForceKernelTier(tier)
@@ -452,8 +453,8 @@ func BenchmarkGFTierRSSyndromes255_223(b *testing.B) {
 
 // BenchmarkGFTierBCHSyndromes255 drives the binary-word syndrome path
 // per tier on a long BCH code over GF(2^8): n = 255 bits through the
-// code's BitSyndromePlan, where the clmul minimal-polynomial fold is the
-// headline win over the table tier's bit-Horner.
+// code's BitSyndromePlan, where the clmul minimal-polynomial fold beats
+// the table tier's bit-Horner.
 func BenchmarkGFTierBCHSyndromes255(b *testing.B) {
 	code := bch.Must(gf.MustDefault(8), 16)
 	rng := rand.New(rand.NewSource(88))

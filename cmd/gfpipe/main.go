@@ -29,6 +29,9 @@
 //	gfpipe -workers 1               # serialize every stage (scaling baseline)
 //	gfpipe -p 0                     # explicit zero-crossover channel (lossless)
 //	gfpipe -adaptive                # rate-adaptive link over a drifting channel
+//
+// Environment: GFP_KERNEL_TIER=auto|scalar|table|clmul forces every GF
+// kernel onto one tier (default auto, the static rule in docs/GF.md).
 package main
 
 import (
@@ -73,7 +76,6 @@ type cliConfig struct {
 	seed       int64
 	quiet      bool
 	metricsOut string
-	kernelTier string
 
 	adaptiveMode bool
 	ladder       string
@@ -119,8 +121,6 @@ func main() {
 		"adaptive: channel schedule, FRAMES:EBN0[>END][:burst],... (frames default to its total)")
 	flag.IntVar(&cfg.window, "window", 0, "adaptive: max frames in flight (0 = pipeline queue depth)")
 	flag.IntVar(&cfg.stepUp, "stepup", 48, "adaptive: clean frames required before relaxing the code")
-	flag.StringVar(&cfg.kernelTier, "kernel-tier", "",
-		"force every GF bulk kernel onto one tier: scalar, packed, table, bitsliced, clmul (empty/auto = calibrated per-op selection)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -144,11 +144,6 @@ func run(cfg cliConfig, w io.Writer) (*result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tier, err := gf.ParseTier(cfg.kernelTier)
-	if err != nil {
-		return nil, err
-	}
-	gf.ForceKernelTier(tier)
 	if cfg.adaptiveMode {
 		return runAdaptive(cfg, w)
 	}

@@ -32,6 +32,9 @@
 //	gfserved -progress 5s           # one summary line every 5s
 //	gfserved -log-format json -wide-every 100   # wide events, JSON logs
 //	gfserved -slo 'ecdsa-sign=5ms@99.9,default=2ms@99'  # error budgets
+//
+// Environment: GFP_KERNEL_TIER=auto|scalar|table|clmul forces every GF
+// kernel onto one tier (default auto, the static rule in docs/GF.md).
 package main
 
 import (
@@ -49,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/gf"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -75,7 +77,6 @@ type cliConfig struct {
 	traceEvery   int
 	traceSlowest int
 	traceRing    int
-	kernelTier   string
 	logFormat    string
 	slo          string
 	sloWindow    time.Duration
@@ -138,8 +139,6 @@ func main() {
 	flag.StringVar(&cfg.slo, "slo", "", "latency objectives, op=threshold@percent comma-separated (e.g. 'ecdsa-sign=5ms@99.9,default=2ms@99'; empty = off)")
 	flag.DurationVar(&cfg.sloWindow, "slo-window", time.Minute, "rolling window for the SLO error-budget burn rate")
 	flag.IntVar(&cfg.wideEvery, "wide-every", 0, "emit a structured wide event for every traced request plus one in N untraced completions (0 = wide events off)")
-	flag.StringVar(&cfg.kernelTier, "kernel-tier", "",
-		"force every GF bulk kernel onto one tier: scalar, packed, table, bitsliced, clmul (empty/auto = calibrated per-op selection)")
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout); err != nil {
@@ -163,11 +162,6 @@ func run(cfg cliConfig, out io.Writer) error {
 	if cfg.wideEvery > 0 {
 		wideLog = logger
 	}
-	tier, err := gf.ParseTier(cfg.kernelTier)
-	if err != nil {
-		return err
-	}
-	gf.ForceKernelTier(tier)
 	s, err := server.New(server.Config{
 		N: cfg.n, K: cfg.k, Depth: cfg.depth, Batch: cfg.batch,
 		Workers: cfg.workers, Queue: cfg.queue,

@@ -57,22 +57,9 @@ func AESField() *Field { return gf.AES() }
 // every one of them is a legal processor configuration.
 func IrreduciblePolys(m int) []uint32 { return gf.IrreduciblePolys(m) }
 
-// --- Kernel tiers ---
+// --- Kernel verification ---
 
-// KernelTier identifies one GF bulk-kernel implementation tier (scalar,
-// packed, table, bitsliced, clmul); see docs/GF.md.
-type KernelTier = gf.TierID
-
-// ParseKernelTier maps a tier name (or "auto"/"") to a KernelTier.
-func ParseKernelTier(name string) (KernelTier, error) { return gf.ParseTier(name) }
-
-// ForceKernelTier pins every bulk kernel process-wide to one tier
-// (gf.TierAuto restores the calibrated per-(field, op, length) choice).
-// Ops the forced tier lacks fall back to the scalar reference, so
-// results stay bit-exact. Equivalent to the GFP_KERNEL_TIER env knob.
-func ForceKernelTier(t KernelTier) { gf.ForceKernelTier(t) }
-
-// VerifyKernels differentially checks every registered kernel tier of f
+// VerifyKernels differentially checks every kernel tier of f
 // against the scalar reference over pseudo-random vectors, returning
 // the first disagreement (nil when all tiers agree).
 func VerifyKernels(f *Field, vectors int, seed int64) error {

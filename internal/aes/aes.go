@@ -240,9 +240,10 @@ var (
 // Field.Mul's two lookups plus branch in the block cipher's hottest
 // non-S-box step — the software image of feeding the paper's wide GF
 // multiplier with constant operands. The derivation goes through the
-// kernel tier dispatch (docs/GF.md), so whichever tier serves it, the
-// differential selftest guarantees identical tables; the per-block hot
-// path below is tier-independent from then on.
+// kernels' static dispatch (the table tier at m = 8, or the scalar
+// reference under GFP_KERNEL_TIER=scalar; docs/GF.md), and the
+// differential selftest guarantees both give identical tables; the
+// per-block hot path below is tier-independent from then on.
 var mixT, invMixT [4][256]byte
 
 func init() {

@@ -86,8 +86,8 @@ func New(f *gf.Field, t int) (*Code, error) {
 	}
 	// Bit-syndrome plans: amortize the per-root minimal-polynomial and
 	// Barrett precomputation once per code, unlocking the carry-less
-	// fold route for long words (the lookup tiers still serve short
-	// ones; the plan dispatches by the calibrated crossover).
+	// fold route for long words (the plain kernels still serve short
+	// ones; the plan switches at a fixed word length).
 	c.synPlan = c.kern.NewBitSyndromePlan(c.roots)
 	c.oddPlan = c.kern.NewBitSyndromePlan(c.oddRoots)
 	return c, nil

@@ -146,6 +146,7 @@ type proxyCounters struct {
 	readmits      atomic.Int64
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
+	unsettled     server.Unsettled // requests not yet in responses, rejects or dropped
 }
 
 // Proxy is the GFP1 routing front door. Construct with New, run with
@@ -461,6 +462,7 @@ func (c *pconn) readLoop() {
 			return
 		}
 		readAt := time.Now()
+		c.p.ctr.unsettled.Add()
 		c.p.ctr.requests.Add(1)
 		c.p.ctr.bytesIn.Add(int64(server.HeaderSize + len(m.Params) + len(m.Payload)))
 		tc := c.extractTrace(m)
@@ -470,6 +472,7 @@ func (c *pconn) readLoop() {
 		case c.sem <- struct{}{}:
 		case <-c.dead:
 			c.p.ctr.dropped.Add(1)
+			c.p.ctr.unsettled.Done()
 			return
 		}
 		// Admission: over-budget tenants are answered immediately, not
@@ -799,6 +802,9 @@ func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, err
 // write serializes one response onto the client socket. ledgered
 // responses are accounted as exactly one of responses/rejects/dropped.
 func (c *pconn) write(m *server.Message, ledgered bool) {
+	if ledgered {
+		defer c.p.ctr.unsettled.Done() // after the ledger counter below
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.broken {

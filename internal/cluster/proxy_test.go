@@ -187,6 +187,16 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // quiesce.
 func checkLedger(t *testing.T, p *Proxy) {
 	t.Helper()
+	settled := make(chan struct{})
+	go func() {
+		p.ctr.unsettled.Wait()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("proxy requests still unsettled after 10s")
+	}
 	c := p.ctr.snapshot()
 	if c.Requests != c.Responses+c.Rejects+c.Dropped {
 		t.Errorf("proxy ledger: requests=%d != responses=%d + rejects=%d + dropped=%d",

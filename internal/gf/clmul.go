@@ -2,13 +2,12 @@ package gf
 
 // The carry-less-multiply tier: GF(2)[x] products computed with plain
 // integer multiplies. An integer multiply is a carry-less multiply plus
-// unwanted carries; splitting each operand into interleaved "hole"
-// classes (every 4th bit for 32-bit operands, every 5th for 64-bit)
-// leaves enough zero gap between live bits that column sums stay below
-// the gap capacity — the carries never reach the next live bit, and
-// masking the product back to its class recovers the exact XOR
-// convolution. This is the software analogue of the paper's gf32bMult
-// wide-word route: one instruction-level multiply produces 32 (or 64)
+// unwanted carries; splitting each operand into four interleaved "hole"
+// classes (every 4th bit) leaves enough zero gap between live bits that
+// column sums stay below the gap capacity — the carries never reach the
+// next live bit, and masking the product back to its class recovers the
+// exact XOR convolution. This is the software analogue of the paper's
+// gf32bMult wide-word route: one instruction-level multiply produces 32
 // bit-positions of GF(2) product at once, against one table lookup per
 // 8-bit symbol on the M0+ baseline.
 //
@@ -16,27 +15,15 @@ package gf
 // precomputed, v mod p costs two carry-less multiplies and no data-
 // dependent loop.
 //
-// The tier registers variable-point ops (dot / horner / eval /
-// hornerBit) built on 32-bit clmuls, and supplies the BitSyndromePlan
-// fold: a binary received word is packed 32 coefficients per machine
-// word and reduced modulo the minimal polynomial of each syndrome
-// point, so one clmul step consumes 32 codeword bits — this is the op
-// that beats the table tier on BCH syndromes (crossover near n = 64 on
-// the reference machine). Exported Clmul64 (5-way holes + bits.Mul64)
-// is the wide-word primitive package gfbig builds its multi-word
-// multiply on.
+// The tier serves one op, the BitSyndromePlan fold: a binary received
+// word is packed 32 coefficients per machine word and reduced modulo
+// the minimal polynomial of each syndrome point, so one clmul step
+// consumes 32 codeword bits. It is the only computed route that beats
+// the table on any op, and only on words of foldMinBits bits or more.
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
-func init() { registerTier(TierCLMul, buildCLMulOps) }
-
-const (
-	holeMask4 = 0x1111111111111111 // every 4th bit, class 0
-	holeMask5 = 0x1084210842108421 // every 5th bit, class 0
-)
+const holeMask4 = 0x1111111111111111 // every 4th bit, class 0
 
 // clmulGroups splits b into its four hole classes for clmulG.
 func clmulGroups(b uint64) [4]uint64 {
@@ -63,36 +50,6 @@ func clmulG(a uint64, bg [4]uint64) uint64 {
 	r2 := a0*bg[2] ^ a1*bg[1] ^ a2*bg[0] ^ a3*bg[3]
 	r3 := a0*bg[3] ^ a1*bg[2] ^ a2*bg[1] ^ a3*bg[0]
 	return r0&holeMask4 | r1&(holeMask4<<1) | r2&(holeMask4<<2) | r3&(holeMask4<<3)
-}
-
-// clmul32 is the carry-less product of two 32-bit polynomials.
-func clmul32(a, b uint32) uint64 {
-	return clmulG(uint64(a), clmulGroups(uint64(b)))
-}
-
-// Clmul64 returns the 128-bit carry-less product of two 64-bit
-// polynomials as (hi, lo). It splits both operands into five hole
-// classes (at most 13 live bits each, 13 < 2^5 so carries stay in the
-// 4-bit gaps) and runs the 25 class products through bits.Mul64. The
-// product bit at position p lands in class p mod 5; positions >= 64
-// shift down by 64 = 5*12+4, so the hi word of a class-k product is
-// masked with class (k+1) mod 5. Package gfbig's word-comb multiply is
-// built on this primitive.
-func Clmul64(a, b uint64) (hi, lo uint64) {
-	var ag, bg [5]uint64
-	for k := uint(0); k < 5; k++ {
-		ag[k] = a & (holeMask5 << k)
-		bg[k] = b & (holeMask5 << k)
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			h, l := bits.Mul64(ag[i], bg[j])
-			k := uint(i+j) % 5
-			lo ^= l & (holeMask5 << k)
-			hi ^= h & (holeMask5 << ((k + 1) % 5))
-		}
-	}
-	return hi, lo
 }
 
 // polyDivGF2 returns the quotient of v / p over GF(2) (long division,
@@ -130,70 +87,6 @@ func newBarrettConsts(p uint64) barrettConsts {
 func (bc *barrettConsts) reduce(v uint64) uint64 {
 	q := clmulG(v>>bc.d, bc.mug) >> (32 - bc.d)
 	return (v ^ clmulG(q, bc.pg)) & (1<<bc.d - 1)
-}
-
-// clField carries the per-field clmul state: Barrett constants for the
-// field polynomial itself.
-type clField struct {
-	f  *Field
-	bc barrettConsts
-}
-
-func buildCLMulOps(f *Field) *tierOps {
-	if f.m < 2 {
-		return nil // GF(2): nothing to multiply
-	}
-	p := &clField{f: f, bc: newBarrettConsts(uint64(f.poly))}
-	return &tierOps{
-		dot:       p.dot,
-		horner:    p.horner,
-		eval:      p.eval,
-		hornerBit: p.hornerBit,
-	}
-}
-
-// dot XOR-accumulates the carry-less products (degree <= 2m-2 <= 30,
-// no per-element reduction needed) and Barrett-reduces once at the end.
-func (p *clField) dot(a, b []Elem) Elem {
-	var acc uint64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		acc ^= clmul32(uint32(a[i]), uint32(b[i])) ^
-			clmul32(uint32(a[i+1]), uint32(b[i+1])) ^
-			clmul32(uint32(a[i+2]), uint32(b[i+2])) ^
-			clmul32(uint32(a[i+3]), uint32(b[i+3]))
-	}
-	for ; i < len(a); i++ {
-		acc ^= clmul32(uint32(a[i]), uint32(b[i]))
-	}
-	return Elem(p.bc.reduce(acc))
-}
-
-func (p *clField) horner(word []Elem, x Elem) Elem {
-	xg := clmulGroups(uint64(x))
-	var acc uint64
-	for _, r := range word {
-		acc = p.bc.reduce(clmulG(acc, xg)) ^ uint64(r)
-	}
-	return Elem(acc)
-}
-
-func (p *clField) eval(coeffs []Elem, x Elem) Elem {
-	xg := clmulGroups(uint64(x))
-	var acc uint64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = p.bc.reduce(clmulG(acc, xg)) ^ uint64(coeffs[i])
-	}
-	return Elem(acc)
-}
-
-func (p *clField) hornerBit(bits []byte, x Elem) Elem {
-	xg := clmulGroups(uint64(x))
-	var acc uint64
-	for _, b := range bits {
-		acc = p.bc.reduce(clmulG(acc, xg)) ^ uint64(b)
-	}
-	return Elem(acc)
 }
 
 // rootPlan is the per-evaluation-point state of a BitSyndromePlan. The
@@ -278,12 +171,12 @@ func packBitsInto(buf []uint32, bitsIn []byte) []uint32 {
 }
 
 // BitSyndromePlan evaluates a binary received word at a fixed set of
-// syndrome points, dispatching between the lookup-tier multi-point
-// Horner (short words) and the carry-less minimal-polynomial fold (long
-// words) by the calibrated crossover for this field — overridable like
-// every kernel via GFP_KERNEL_TIER / ForceKernelTier. Build one per
-// codec (package bch keeps one per root set) and reuse it across
-// frames; a plan is safe for concurrent use.
+// syndrome points. Words of foldMinBits bits or more take the
+// carry-less minimal-polynomial fold; shorter words take the field's
+// plain SyndromeBitSlice (table or scalar). A pinned or forced tier
+// overrides the length rule: clmul always folds, any other tier never
+// does. Build one per codec (package bch keeps one per root set) and
+// reuse it across frames; a plan is safe for concurrent use.
 type BitSyndromePlan struct {
 	k     *Kernels
 	xs    []Elem
@@ -316,7 +209,7 @@ func (bp *BitSyndromePlan) Run(dst []Elem, bits []byte) {
 	if len(dst) != len(bp.xs) {
 		panic("gf: BitSyndromePlan.Run length mismatch")
 	}
-	if bp.k.tierFor(opSyndromeBitFold, len(bits)) != TierCLMul {
+	if !bp.k.folds(len(bits)) {
 		bp.k.SyndromeBitSlice(dst, bits, bp.xs)
 		return
 	}
@@ -324,8 +217,16 @@ func (bp *BitSyndromePlan) Run(dst []Elem, bits []byte) {
 	bp.fold(dst, bits)
 }
 
-// fold runs the clmul route unconditionally (calibration measures it
-// through this entry point).
+// folds reports whether BitSyndromePlan.Run takes the clmul fold for an
+// n-bit word on this view.
+func (k *Kernels) folds(n int) bool {
+	if t := k.override(); t != TierAuto {
+		return t == TierCLMul
+	}
+	return n >= foldMinBits
+}
+
+// fold runs the clmul route unconditionally.
 func (bp *BitSyndromePlan) fold(dst []Elem, bits []byte) {
 	nc := (len(bits) + 31) / 32
 	bufp := bp.bufs.Get().(*[]uint32)

@@ -6,17 +6,10 @@ import (
 	"testing"
 )
 
-// clmul64Ref is the bit-serial 128-bit carry-less product reference.
-func clmul64Ref(a, b uint64) (hi, lo uint64) {
-	for i := uint(0); i < 64; i++ {
-		if a>>i&1 == 1 {
-			lo ^= b << i
-			if i > 0 {
-				hi ^= b >> (64 - i)
-			}
-		}
-	}
-	return hi, lo
+// clmul32 is the carry-less product of two 32-bit polynomials through
+// the hole-masked integer multiply.
+func clmul32(a, b uint32) uint64 {
+	return clmulG(uint64(a), clmulGroups(uint64(b)))
 }
 
 func TestClmul32AgainstCarrylessMul(t *testing.T) {
@@ -35,29 +28,6 @@ func TestClmulGMatchesClmul32(t *testing.T) {
 		a, b := rng.Uint32(), rng.Uint32()
 		if got, want := clmulG(uint64(a), clmulGroups(uint64(b))), CarrylessMul(a, b); got != want {
 			t.Fatalf("clmulG(%#x, %#x) = %#x, want %#x", a, b, got, want)
-		}
-	}
-}
-
-func TestClmul64(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cases := []struct{ a, b uint64 }{
-		{0, 0}, {1, 1}, {^uint64(0), ^uint64(0)},
-		{1 << 63, 1 << 63}, {^uint64(0), 1}, {1, ^uint64(0)},
-	}
-	for _, tc := range cases {
-		hi, lo := Clmul64(tc.a, tc.b)
-		whi, wlo := clmul64Ref(tc.a, tc.b)
-		if hi != whi || lo != wlo {
-			t.Fatalf("Clmul64(%#x, %#x) = (%#x, %#x), want (%#x, %#x)", tc.a, tc.b, hi, lo, whi, wlo)
-		}
-	}
-	for i := 0; i < 100000; i++ {
-		a, b := rng.Uint64(), rng.Uint64()
-		hi, lo := Clmul64(a, b)
-		whi, wlo := clmul64Ref(a, b)
-		if hi != whi || lo != wlo {
-			t.Fatalf("Clmul64(%#x, %#x) = (%#x, %#x), want (%#x, %#x)", a, b, hi, lo, whi, wlo)
 		}
 	}
 }
@@ -97,10 +67,10 @@ func TestPolyDivGF2(t *testing.T) {
 // TestBitSyndromePlanFold checks the minimal-polynomial fold against
 // the scalar Horner for every odd power of alpha (the BCH root layout)
 // across word lengths that exercise the partial lead chunk, on the
-// default m=8 and m=16 fields and the non-primitive AES field.
+// default m=1, 3, 8 and 16 fields and the non-primitive AES field.
 func TestBitSyndromePlanFold(t *testing.T) {
 	fields := []*Field{}
-	for _, m := range []int{3, 8, 16} {
+	for _, m := range []int{1, 3, 8, 16} {
 		f, err := NewDefault(m)
 		if err != nil {
 			t.Fatal(err)
@@ -174,6 +144,39 @@ func TestBitSyndromePlanConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBitSyndromeFoldSweep prices the clmul fold against the plain
+// SyndromeBitSlice (table at m = 8, scalar at m = 16) over 16 odd-power
+// points at the word lengths foldMinBits was fixed from.
+func BenchmarkBitSyndromeFoldSweep(b *testing.B) {
+	for _, m := range []int{8, 16} {
+		f := MustDefault(m)
+		xs := make([]Elem, 16)
+		for i := range xs {
+			xs[i] = f.Exp(2*i + 1)
+		}
+		k := f.Kernels()
+		bp := k.NewBitSyndromePlan(xs)
+		dst := make([]Elem, len(xs))
+		rng := rand.New(rand.NewSource(1))
+		for _, n := range []int{16, 32, 64, 128, 255} {
+			bits := make([]byte, n)
+			for i := range bits {
+				bits[i] = byte(rng.Intn(2))
+			}
+			b.Run(fmt.Sprintf("m=%d/n=%d/fold", m, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bp.fold(dst, bits)
+				}
+			})
+			b.Run(fmt.Sprintf("m=%d/n=%d/%s", m, n, k.Tier()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.SyndromeBitSlice(dst, bits, xs)
+				}
+			})
 		}
 	}
 }

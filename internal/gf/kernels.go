@@ -7,54 +7,38 @@ package gf
 // symbol-at-a-time Field.Mul route (two table lookups plus a zero branch
 // per product) with whole-slice kernels.
 //
-// The implementation strategies live in a pluggable tier registry (see
-// tier.go): classic lookup tiers (packed rows for m <= 4, a flat product
-// table for m <= 8), a computed 64-bit SWAR tier (bitslice.go) and a
-// carry-less-multiply tier (clmul.go). Every exported operation picks
-// its tier per call from the calibrated per-(field, op, length)
-// selection — overridable process-wide via GFP_KERNEL_TIER /
-// ForceKernelTier — and falls back to the scalar reference for ops the
-// chosen tier does not implement. The scalar tier is the behavioral
-// specification; selftest.go proves every other tier extensionally
-// equal to it.
+// Each operation has two implementations: the table tier (a flat
+// product table, m <= 8) and the scalar reference (Field.Mul). Which one
+// runs follows the static rule in tier.go. The scalar tier is the
+// behavioral specification; selftest.go proves the table tier
+// extensionally equal to it.
 //
 // All operations are allocation-free: callers own every buffer.
 
 import "fmt"
-
-// packedMaxM is the largest extension degree whose mul-by-constant rows
-// fit one uint64 (16 products x 4 bits).
-const packedMaxM = 4
 
 // tableMaxM is the largest extension degree for which the flat product
 // table is built (2^8 x 2^8 entries = 128 KiB of Elem).
 const tableMaxM = 8
 
 // Kernels provides bulk slice operations over one field. Obtain one with
-// Field.Kernels (auto-dispatched across the registered tiers) or
+// Field.Kernels (statically dispatched, see tier.go) or
 // Field.ScalarKernels (a view pinned to the pure-scalar reference, used
 // by tests and A/B benchmarks). A Kernels is immutable after
 // construction and safe for concurrent use by any number of goroutines.
 //
 // Inputs must be valid field elements (Field.Valid); out-of-field values
-// may panic (table tiers) or produce junk (computed tiers), exactly as
-// the scalar table lookups in Field.Mul do.
+// may panic on the table tier, exactly as the scalar table lookups in
+// Field.Mul do.
 type Kernels struct {
 	f     *Field
 	order int
-	base  TierID // the classic tier for the field shape; names Tier()
 	pin   TierID // TierAuto unless this view is pinned to one tier
-
-	tiers *[NumTiers]*tierOps // shared between the auto and pinned views
-	sel   *selTable           // calibrated per-op selection (shared)
-
-	mul    []Elem   // table tier's product table (nil on pinned-scalar views)
-	packed []uint64 // packed tier's rows (nil on pinned-scalar views)
+	mul   []Elem // flat product table, row c at [c*order:(c+1)*order]; nil above m = 8 and on non-table pins
 }
 
 // Kernels returns the field's bulk-arithmetic kernels, built lazily on
-// first use and cached on the Field. Tier choice is per (op, length),
-// calibrated once per field shape; see tier.go for the override knobs.
+// first use and cached on the Field.
 func (f *Field) Kernels() *Kernels {
 	f.kernOnce.Do(f.buildKernels)
 	return f.kern
@@ -70,42 +54,28 @@ func (f *Field) ScalarKernels() *Kernels {
 }
 
 func (f *Field) buildKernels() {
-	tiers := new([NumTiers]*tierOps)
-	for id := TierID(0); id < NumTiers; id++ {
-		if b := tierBuilders[id]; b != nil {
-			tiers[id] = b(f)
+	var mul []Elem
+	if f.m <= tableMaxM {
+		mul = make([]Elem, f.order*f.order)
+		for c := 0; c < f.order; c++ {
+			row := mul[c*f.order : (c+1)*f.order]
+			for x := range row {
+				row[x] = f.Mul(Elem(c), Elem(x))
+			}
 		}
 	}
-	if tiers[TierScalar] == nil {
-		panic("gf: scalar tier missing from registry")
-	}
-	base := TierScalar
-	switch {
-	case f.m <= packedMaxM:
-		base = TierPacked
-	case f.m <= tableMaxM:
-		base = TierTable
-	}
-	sel := &selTable{}
-	k := &Kernels{f: f, order: f.order, base: base, pin: TierAuto, tiers: tiers, sel: sel}
-	if t := tiers[TierTable]; t != nil {
-		k.mul = t.mul
-	}
-	if t := tiers[TierPacked]; t != nil {
-		k.packed = t.packed
-	}
-	f.kern = k
-	f.scalarKern = &Kernels{f: f, order: f.order, base: TierScalar, pin: TierScalar, tiers: tiers, sel: sel}
+	f.kern = &Kernels{f: f, order: f.order, pin: TierAuto, mul: mul}
+	f.scalarKern = f.kern.forTier(TierScalar)
+	publishSelections(f)
 }
 
-// forTier returns a view of k pinned to one tier (ops the tier lacks
-// still fall back to scalar). The differential selftest uses this to
-// drive every registered tier over the same vectors.
+// forTier returns a view of k pinned to one tier. The differential
+// selftest uses it to drive every tier over the same vectors.
 func (k *Kernels) forTier(t TierID) *Kernels {
 	v := *k
 	v.pin = t
-	if t != TierTable && t != TierPacked {
-		v.mul, v.packed = nil, nil
+	if t != TierTable {
+		v.mul = nil
 	}
 	return &v
 }
@@ -117,58 +87,59 @@ func (k *Kernels) Field() *Field { return k.f }
 // view (false on pinned-scalar views and for fields with m > 8).
 func (k *Kernels) Table() bool { return k.mul != nil }
 
-// AvailableTiers lists the registry names of every tier built for this
-// field, in TierID order. The scalar tier is always present.
+// tiers lists every tier that can serve this field, in TierID order:
+// scalar always, table for m <= 8, and the clmul plan fold.
+func (k *Kernels) tiers() []TierID {
+	if k.f.m <= tableMaxM {
+		return []TierID{TierScalar, TierTable, TierCLMul}
+	}
+	return []TierID{TierScalar, TierCLMul}
+}
+
+// AvailableTiers lists the names of every tier that can serve this
+// field, in TierID order.
 func (k *Kernels) AvailableTiers() []string {
 	var out []string
-	for id := TierID(0); id < NumTiers; id++ {
-		if k.tiers[id] != nil {
-			out = append(out, id.String())
-		}
+	for _, t := range k.tiers() {
+		out = append(out, t.String())
 	}
 	return out
 }
 
-// tierFor resolves the tier serving op at input length n: instance pin,
-// then process-wide force, then the calibrated selection.
-func (k *Kernels) tierFor(op kernelOp, n int) TierID {
+// override returns the pin or the process-wide force, TierAuto when
+// the static rule decides.
+func (k *Kernels) override() TierID {
 	if k.pin != TierAuto {
 		return k.pin
 	}
-	if ft := ForcedKernelTier(); ft != TierAuto {
-		return ft
-	}
-	s := k.sel.get(k, op)
-	if n < s.crossover {
-		return s.below
-	}
-	return s.above
+	return ForcedKernelTier()
 }
 
-// dispatch resolves op at length n to a concrete op table, falling back
-// to the scalar reference when the chosen tier lacks the op, and
-// records the hit against the tier that actually serves the call.
-func (k *Kernels) dispatch(op kernelOp, n int) *tierOps {
-	t := k.tierFor(op, n)
-	ops := k.tiers[t]
-	if !ops.supports(op) {
-		t, ops = TierScalar, k.tiers[TierScalar]
+// plainTier resolves the tier serving a bulk op on this view: the table
+// when the view has one and no override points elsewhere, the scalar
+// reference otherwise.
+func (k *Kernels) plainTier() TierID {
+	if t := k.override(); k.mul != nil && (t == TierAuto || t == TierTable) {
+		return TierTable
 	}
+	return TierScalar
+}
+
+// table charges one call to the tier that serves it and returns the
+// product table when that is the table tier, nil for the scalar
+// reference.
+func (k *Kernels) table() []Elem {
+	t := k.plainTier()
 	k.hit(t)
-	return ops
+	if t == TierTable {
+		return k.mul
+	}
+	return nil
 }
 
-// baseTier is the tier charged for tier-independent ops (AddSlice,
-// XorSlice, stride copies): the pin or force when set, the field's
-// classic tier otherwise.
-func (k *Kernels) baseTier() TierID {
-	if k.pin != TierAuto {
-		return k.pin
-	}
-	if ft := ForcedKernelTier(); ft != TierAuto {
-		return ft
-	}
-	return k.base
+// row returns the table row of products c*x.
+func (k *Kernels) row(mul []Elem, c Elem) []Elem {
+	return mul[int(c)*k.order : int(c)*k.order+k.order]
 }
 
 // AddSlice sets dst[i] = a[i] + b[i] (XOR). dst may alias a or b. All
@@ -177,7 +148,7 @@ func (k *Kernels) AddSlice(dst, a, b []Elem) {
 	if len(a) != len(dst) || len(b) != len(dst) {
 		panic(fmt.Sprintf("gf: AddSlice length mismatch dst=%d a=%d b=%d", len(dst), len(a), len(b)))
 	}
-	k.hit(k.baseTier())
+	k.hit(k.plainTier())
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		dst[i] = a[i] ^ b[i]
@@ -196,7 +167,7 @@ func (k *Kernels) XorSlice(dst, src []Elem) {
 	if len(src) > len(dst) {
 		panic(fmt.Sprintf("gf: XorSlice src length %d exceeds dst %d", len(src), len(dst)))
 	}
-	k.hit(k.baseTier())
+	k.hit(k.plainTier())
 	for i, v := range src {
 		dst[i] ^= v
 	}
@@ -210,17 +181,26 @@ func (k *Kernels) MulConstSlice(dst, src []Elem, c Elem) {
 	}
 	switch c {
 	case 0:
-		k.hit(k.baseTier())
+		k.hit(k.plainTier())
 		for i := range dst {
 			dst[i] = 0
 		}
 		return
 	case 1:
-		k.hit(k.baseTier())
+		k.hit(k.plainTier())
 		copy(dst, src)
 		return
 	}
-	k.dispatch(opMulConst, len(src)).mulConst(dst, src, c)
+	if mul := k.table(); mul != nil {
+		r := k.row(mul, c)
+		for i, s := range src {
+			dst[i] = r[s]
+		}
+		return
+	}
+	for i, s := range src {
+		dst[i] = k.f.Mul(c, s)
+	}
 }
 
 // MulConstAddSlice folds c * src into dst: dst[i] ^= c * src[i] — the
@@ -232,16 +212,25 @@ func (k *Kernels) MulConstAddSlice(dst, src []Elem, c Elem) {
 	}
 	switch c {
 	case 0:
-		k.hit(k.baseTier())
+		k.hit(k.plainTier())
 		return
 	case 1:
-		k.hit(k.baseTier())
+		k.hit(k.plainTier())
 		for i, v := range src {
 			dst[i] ^= v
 		}
 		return
 	}
-	k.dispatch(opMulConstAdd, len(src)).mulConstAdd(dst, src, c)
+	if mul := k.table(); mul != nil {
+		r := k.row(mul, c)
+		for i, s := range src {
+			dst[i] ^= r[s]
+		}
+		return
+	}
+	for i, s := range src {
+		dst[i] ^= k.f.Mul(c, s)
+	}
 }
 
 // DotSlice returns the inner product sum_i a[i]*b[i]. Both slices must
@@ -250,7 +239,17 @@ func (k *Kernels) DotSlice(a, b []Elem) Elem {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("gf: DotSlice length mismatch a=%d b=%d", len(a), len(b)))
 	}
-	return k.dispatch(opDot, len(a)).dot(a, b)
+	var acc Elem
+	if mul := k.table(); mul != nil {
+		for i := range a {
+			acc ^= mul[int(a[i])*k.order+int(b[i])]
+		}
+		return acc
+	}
+	for i := range a {
+		acc ^= k.f.Mul(a[i], b[i])
+	}
+	return acc
 }
 
 // HornerSlice evaluates the polynomial whose coefficients are given in
@@ -261,42 +260,134 @@ func (k *Kernels) DotSlice(a, b []Elem) Elem {
 // This is the received-word layout of the RS/BCH codecs and the paper's
 // syndrome recursion S_j <- S_j*alpha^j + R.
 func (k *Kernels) HornerSlice(word []Elem, x Elem) Elem {
-	return k.dispatch(opHorner, len(word)).horner(word, x)
+	if mul := k.table(); mul != nil {
+		return hornerRow(word, k.row(mul, x))
+	}
+	return k.hornerScalar(word, x)
 }
 
 // EvalSlice evaluates the polynomial with coeffs[i] the coefficient of
 // x^i (package gfpoly's storage order) at x by Horner's rule.
 func (k *Kernels) EvalSlice(coeffs []Elem, x Elem) Elem {
-	return k.dispatch(opEval, len(coeffs)).eval(coeffs, x)
+	var acc Elem
+	if mul := k.table(); mul != nil {
+		r := k.row(mul, x)
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			acc = r[acc] ^ coeffs[i]
+		}
+		return acc
+	}
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = k.f.Mul(acc, x) ^ coeffs[i]
+	}
+	return acc
 }
 
 // SyndromeSlice sets dst[j] = HornerSlice(word, xs[j]) for every
 // evaluation point — the multi-point syndrome kernel. The table tier
-// runs four independent accumulator chains per pass (the software image
-// of the paper's 4-lane SIMD); the bitsliced tier packs the evaluation
-// points into 64-bit lanes instead. dst and xs must have equal length.
+// runs four independent accumulator chains per pass over the word, so
+// the dependent lookups pipeline the way the paper's four SIMD lanes
+// do. dst and xs must have equal length.
 func (k *Kernels) SyndromeSlice(dst []Elem, word []Elem, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndrome, len(word)).syndrome(dst, word, xs)
+	mul := k.table()
+	if mul == nil {
+		for j, x := range xs {
+			dst[j] = k.hornerScalar(word, x)
+		}
+		return
+	}
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		r0, r1, r2, r3 := k.row(mul, xs[j]), k.row(mul, xs[j+1]), k.row(mul, xs[j+2]), k.row(mul, xs[j+3])
+		var a0, a1, a2, a3 Elem
+		for _, r := range word {
+			a0 = r0[a0] ^ r
+			a1 = r1[a1] ^ r
+			a2 = r2[a2] ^ r
+			a3 = r3[a3] ^ r
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+	}
+	for ; j < len(xs); j++ {
+		dst[j] = hornerRow(word, k.row(mul, xs[j]))
+	}
 }
 
 // HornerBitSlice is HornerSlice for a binary word stored one bit per
 // byte (values 0/1), the BCH codeword layout.
 func (k *Kernels) HornerBitSlice(bits []byte, x Elem) Elem {
-	return k.dispatch(opHornerBit, len(bits)).hornerBit(bits, x)
+	if mul := k.table(); mul != nil {
+		return hornerBitRow(bits, k.row(mul, x))
+	}
+	return k.hornerBitScalar(bits, x)
 }
 
 // SyndromeBitSlice is SyndromeSlice for a binary word stored one bit per
 // byte — the BCH syndrome kernel. For repeated syndrome sets over the
-// same evaluation points prefer NewBitSyndromePlan, which additionally
-// unlocks the carry-less-multiply fold tier.
+// same evaluation points prefer NewBitSyndromePlan, which folds long
+// words on the clmul tier.
 func (k *Kernels) SyndromeBitSlice(dst []Elem, bits []byte, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeBitSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndromeBit, len(bits)).syndromeBit(dst, bits, xs)
+	mul := k.table()
+	if mul == nil {
+		for j, x := range xs {
+			dst[j] = k.hornerBitScalar(bits, x)
+		}
+		return
+	}
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		r0, r1, r2, r3 := k.row(mul, xs[j]), k.row(mul, xs[j+1]), k.row(mul, xs[j+2]), k.row(mul, xs[j+3])
+		var a0, a1, a2, a3 Elem
+		for _, b := range bits {
+			e := Elem(b)
+			a0 = r0[a0] ^ e
+			a1 = r1[a1] ^ e
+			a2 = r2[a2] ^ e
+			a3 = r3[a3] ^ e
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+	}
+	for ; j < len(xs); j++ {
+		dst[j] = hornerBitRow(bits, k.row(mul, xs[j]))
+	}
+}
+
+func hornerRow(word []Elem, r []Elem) Elem {
+	var acc Elem
+	for _, s := range word {
+		acc = r[acc] ^ s
+	}
+	return acc
+}
+
+func hornerBitRow(bits []byte, r []Elem) Elem {
+	var acc Elem
+	for _, b := range bits {
+		acc = r[acc] ^ Elem(b)
+	}
+	return acc
+}
+
+func (k *Kernels) hornerScalar(word []Elem, x Elem) Elem {
+	var acc Elem
+	for _, r := range word {
+		acc = k.f.Mul(acc, x) ^ r
+	}
+	return acc
+}
+
+func (k *Kernels) hornerBitScalar(bits []byte, x Elem) Elem {
+	var acc Elem
+	for _, b := range bits {
+		acc = k.f.Mul(acc, x) ^ Elem(b)
+	}
+	return acc
 }
 
 // LFSR is a multiply-accumulate bank precomputed for one fixed
@@ -312,7 +403,7 @@ type LFSR struct {
 	k      *Kernels
 	nk     int
 	coeffs []Elem
-	tab    []Elem // flat order x nk feedback rows; nil on the scalar tier
+	tab    []Elem // flat order x nk feedback rows; nil without a product table
 }
 
 // NewLFSR builds the feedback bank for the given taps (len >= 1).
@@ -335,15 +426,16 @@ func (k *Kernels) NewLFSR(coeffs []Elem) *LFSR {
 //	feedback = s ^ par[0]; par shifts down one; par ^= feedback*coeffs
 //
 // updating par (length = len(coeffs)) in place. Seed par with zeros to
-// compute the systematic RS parity of msg. When the scalar tier is
-// forced process-wide the definitional multiply-accumulate route is
-// taken even if the bank exists, so forced-tier accounting stays honest.
+// compute the systematic RS parity of msg. When the view resolves to the
+// scalar tier (a forced scalar or clmul tier) the definitional
+// multiply-accumulate route is taken even if the bank exists, so
+// forced-tier accounting stays honest.
 func (l *LFSR) Run(par, msg []Elem) {
 	nk := l.nk
 	if len(par) != nk {
 		panic(fmt.Sprintf("gf: LFSR.Run register length %d, want %d", len(par), nk))
 	}
-	if l.tab == nil || l.k.baseTier() == TierScalar {
+	if l.tab == nil || l.k.plainTier() == TierScalar {
 		l.k.hit(TierScalar)
 		for _, s := range msg {
 			fb := s ^ par[0]

@@ -24,17 +24,14 @@ func randElems(rng *rand.Rand, f *Field, n int) []Elem {
 	return out
 }
 
-// TestKernelsTierSelection pins the tier choice: packed for m <= 4,
-// table for m <= 8, scalar above.
+// TestKernelsTierSelection pins the tier choice: table for m <= 8,
+// scalar above.
 func TestKernelsTierSelection(t *testing.T) {
 	for m := 2; m <= 8; m++ {
 		f := MustDefault(m)
 		k := f.Kernels()
 		if !k.Table() {
 			t.Errorf("m=%d: table tier expected", m)
-		}
-		if (k.packed != nil) != (m <= packedMaxM) {
-			t.Errorf("m=%d: packed tier = %v, want %v", m, k.packed != nil, m <= packedMaxM)
 		}
 		if f.ScalarKernels().Table() {
 			t.Errorf("m=%d: scalar kernels report table tier", m)
@@ -52,7 +49,7 @@ func TestKernelsTierSelection(t *testing.T) {
 	}
 }
 
-// TestKernelsMulConstExhaustive checks the table/packed product tiers
+// TestKernelsMulConstExhaustive checks the table tier
 // against Field.Mul over every (c, x) pair for every supported field —
 // exhaustive, since the whole product table is only 2^16 entries even at
 // m = 8.

@@ -1,13 +1,20 @@
 package gf
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"reflect"
+	"testing"
+)
 
 func TestKernelTierNames(t *testing.T) {
 	cases := []struct {
 		m    int
 		want string
 	}{
-		{4, "packed"},
+		{4, "table"},
 		{8, "table"},
 		{13, "scalar"},
 	}
@@ -32,10 +39,9 @@ func TestKernelCallsCount(t *testing.T) {
 	}
 	buf := make([]Elem, 32)
 
-	// Force the table tier so accounting is deterministic regardless of
-	// what calibration picked on this machine.
+	// Force the table tier so accounting is the same in every CI leg.
+	defer ForceKernelTier(ForcedKernelTier())
 	ForceKernelTier(TierTable)
-	defer ForceKernelTier(TierAuto)
 	k := f.Kernels()
 	before := KernelCalls()
 	k.AddSlice(buf, buf, buf)
@@ -53,50 +59,72 @@ func TestKernelCallsCount(t *testing.T) {
 	if grew := after[TierScalar] - before[TierScalar]; grew < 1 {
 		t.Errorf("scalar tier calls grew by %d, want >= 1", grew)
 	}
+}
 
-	f4, err := NewDefault(4)
-	if err != nil {
-		t.Fatal(err)
+// selectionsChildEnv makes a re-executed test binary print its
+// Selections for the fields of TestSelectionsPublished and exit.
+const selectionsChildEnv = "GF_SELECTIONS_CHILD"
+
+// TestSelectionsPublished checks that Selections() for GF(2^4), GF(2^8)
+// and GF(2^16) equals the static table documented in docs/GF.md, and
+// that three fresh processes of this test binary publish the same table.
+func TestSelectionsPublished(t *testing.T) {
+	// In Selections order: sorted by field name, then op.
+	fields := []*Field{MustDefault(16), MustDefault(4), MustDefault(8)}
+	for _, f := range fields {
+		f.Kernels()
 	}
-	ForceKernelTier(TierPacked)
-	small := make([]Elem, 8)
-	before = KernelCalls()
-	f4.Kernels().MulConstSlice(small, small, 3)
-	after = KernelCalls()
-	if grew := after[TierPacked] - before[TierPacked]; grew < 1 {
-		t.Errorf("packed tier calls grew by %d, want >= 1", grew)
+	rows := selectionsOf(fields)
+	if os.Getenv(selectionsChildEnv) != "" {
+		if err := json.NewEncoder(os.Stdout).Encode(rows); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	var want []TierSelection
+	for _, f := range fields {
+		plain := "table"
+		if f.M() > 8 {
+			plain = "scalar"
+		}
+		for _, op := range []string{"dot", "eval", "horner", "hornerbit", "mulconst", "mulconstadd", "syndrome", "syndromebit"} {
+			want = append(want, TierSelection{Field: f.String(), Op: op, Below: plain, Above: plain})
+		}
+		want = append(want, TierSelection{Field: f.String(), Op: "syndromebitfold", Below: plain, Above: "clmul", Crossover: foldMinBits})
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("Selections() =\n%+v\nwant the static table\n%+v", rows, want)
+	}
+
+	for i := 0; i < 3; i++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSelectionsPublished$", "-test.count=1")
+		cmd.Env = append(os.Environ(), selectionsChildEnv+"=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("child %d: %v", i, err)
+		}
+		var got []TierSelection
+		if err := json.NewDecoder(bytes.NewReader(out)).Decode(&got); err != nil {
+			t.Fatalf("child %d: decoding %q: %v", i, out, err)
+		}
+		if !reflect.DeepEqual(got, rows) {
+			t.Fatalf("child %d published\n%+v\nthis process\n%+v", i, got, rows)
+		}
 	}
 }
 
-func TestSelectionsPublished(t *testing.T) {
-	f, err := NewDefault(8)
-	if err != nil {
-		t.Fatal(err)
+// selectionsOf filters Selections() to the given fields.
+func selectionsOf(fields []*Field) []TierSelection {
+	keep := map[string]bool{}
+	for _, f := range fields {
+		keep[f.String()] = true
 	}
-	// Trigger calibration via one auto-dispatched call.
-	buf := make([]Elem, 64)
-	f.Kernels().MulConstSlice(buf, buf, 3)
-
-	rows := Selections()
-	byOp := map[string]TierSelection{}
-	for _, r := range rows {
-		if r.Field == f.String() {
-			byOp[r.Op] = r
+	var out []TierSelection
+	for _, r := range Selections() {
+		if keep[r.Field] {
+			out = append(out, r)
 		}
 	}
-	if len(byOp) != int(numOps) {
-		t.Fatalf("got %d selection rows for %v, want %d: %+v", len(byOp), f, numOps, rows)
-	}
-	valid := map[string]bool{}
-	for _, n := range TierNames() {
-		valid[n] = true
-	}
-	for op, r := range byOp {
-		if !valid[r.Below] || !valid[r.Above] {
-			t.Errorf("op %s: unknown tier names in %+v", op, r)
-		}
-		if (r.Below == r.Above) != (r.Crossover == 0) {
-			t.Errorf("op %s: crossover %d inconsistent with below=%s above=%s", op, r.Crossover, r.Below, r.Above)
-		}
-	}
+	return out
 }

@@ -3,27 +3,26 @@ package gf
 // Differential kernel verification: the first slice of the roadmap's
 // algebraic self-verification harness. The scalar kernel tier is the
 // behavioral specification (every product routed through Field.Mul);
-// every other registered tier — packed, table, bitsliced, clmul — is an
-// optimization that must be extensionally equal to it. VerifyKernels
-// drives ALL tiers built for the field over the same pseudo-random
-// vectors across every bulk op (including the BitSyndromePlan clmul
-// fold) and reports the first disagreement — production deployments
-// (the gfserved /selftest admin endpoint, the gfproxy health gate) run
-// it before serving traffic, so a corrupted product table or a
-// miscompiled fast path never serves wrong math silently.
+// the table tier and the clmul plan fold are optimizations that must be
+// extensionally equal to it. VerifyKernels drives every tier that can
+// serve the field over the same pseudo-random vectors across every bulk
+// op and reports the first disagreement — production deployments (the
+// gfserved /selftest admin endpoint, the gfproxy health gate) run it
+// before serving traffic, so a corrupted product table or a miscompiled
+// fast path never serves wrong math silently.
 
 import (
 	"fmt"
 	"math/rand"
 )
 
-// VerifyKernels differentially checks every registered kernel tier of
-// the field against the scalar reference: vectors pseudo-random input
+// VerifyKernels differentially checks every kernel tier of the field
+// against the scalar reference: vectors pseudo-random input
 // vectors per (tier, op) — seeded, so failures reproduce — each run
 // through a view of Field.Kernels pinned to the tier under test and
 // through Field.ScalarKernels, compared element-wise. It also checks
-// the auto-dispatched view itself, so whatever mix calibration chose is
-// exercised end to end. It returns nil when every tier agrees on every
+// the auto-dispatched view itself, so the static rule is exercised end
+// to end. It returns nil when every tier agrees on every
 // vector, and a descriptive error naming the tier, the op, the vector
 // index and the first mismatching element otherwise.
 func VerifyKernels(f *Field, vectors int, seed int64) error {
@@ -44,16 +43,14 @@ func VerifyKernels(f *Field, vectors int, seed int64) error {
 		n = 1024
 	}
 
-	// The tiers under test: every registered tier (the scalar tier
-	// checks the reference against itself, proving determinism), plus
-	// the auto view with calibrated dispatch.
+	// The tiers under test: every tier that can serve the field (the
+	// scalar tier checks the reference against itself, proving
+	// determinism), plus the auto view with static dispatch.
 	views := []*Kernels{auto}
 	names := []string{"auto"}
-	for id := TierID(0); id < NumTiers; id++ {
-		if auto.tiers[id] != nil {
-			views = append(views, auto.forTier(id))
-			names = append(names, id.String())
-		}
+	for _, id := range auto.tiers() {
+		views = append(views, auto.forTier(id))
+		names = append(names, id.String())
 	}
 
 	for vi, fast := range views {

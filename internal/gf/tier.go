@@ -1,35 +1,28 @@
 package gf
 
-// Pluggable kernel-tier registry. The bulk slice layer (kernels.go) no
-// longer hard-wires its implementation choice by field degree: each
-// implementation strategy is a *tier* that registers a per-field op
-// table here, and every exported Kernels operation picks a tier at call
-// time from a per-(field, op, length) selection produced by a one-shot
-// micro-calibration (calibrate.go). This is the software image of the
-// paper's reconfigurable datapath: the same GF instruction can be
-// served by the table-lookup route (the M0+ baseline) or by a computed
-// carry-free route (the gf32bMult-style paths), and the dispatcher
-// picks whichever the measured crossover favors.
+// Static kernel dispatch. Every bulk operation is bound at design time
+// to the datapath that measured cheaper for it, the way the paper binds
+// each GF routine to the cheaper of the table-lookup route (the M0+
+// baseline) and the computed carry-free route (the gf32bMult-style
+// paths). The rule, fixed from the measurements in docs/GF.md:
 //
-// Five tiers exist today:
+//	m <= 8   every op on the table tier (flat order x order products)
+//	m >  8   every op on the scalar tier (Field.Mul; no table exists)
+//	BitSyndromePlan.Run  the clmul minimal-polynomial fold for words of
+//	         at least foldMinBits bits, the field's plain
+//	         SyndromeBitSlice below that
 //
-//	scalar    — Field.Mul reference loops; the behavioral specification.
-//	packed    — m <= 4, mul-by-constant rows packed in one uint64.
-//	table     — m <= 8, flat order x order product table.
-//	bitsliced — 64-bit SWAR lanes, computed xtime steps, no tables
-//	            (bitslice.go).
-//	clmul     — carry-less-multiply routes built on integer multiplies
-//	            (clmul.go), including the Barrett-folded bit-syndrome
-//	            plans and the wide-word Clmul64 feeding gfbig.
-//
-// A tier may implement any subset of the ops; missing ops fall back to
-// the scalar reference. Selection precedence per call:
+// The same binary on the same input always takes the same code path.
+// Selection precedence per call:
 //
 //  1. an instance pin (Field.ScalarKernels, the selftest's per-tier
 //     views),
-//  2. a process-wide forced tier (GFP_KERNEL_TIER env at startup, or
-//     ForceKernelTier — the -kernel-tier flag of gfpipe/gfserved),
-//  3. the calibrated per-(field, op, length) selection.
+//  2. the process-wide forced tier (GFP_KERNEL_TIER, read at start-up),
+//  3. the static rule above.
+//
+// A forced tier that has no implementation of an op for the field (the
+// table above m = 8, clmul for every op but the plan fold) runs the
+// scalar reference, so output stays bit-exact under any force.
 
 import (
 	"fmt"
@@ -37,35 +30,34 @@ import (
 	"sync/atomic"
 )
 
-// TierID identifies one registered kernel implementation tier.
+// TierID identifies one kernel implementation tier.
 type TierID uint8
 
 const (
-	// TierScalar is the pure Field.Mul reference path — always present,
-	// always the fallback for ops a tier does not implement.
+	// TierScalar is the pure Field.Mul reference path: the behavioral
+	// specification and the fallback for ops a tier does not implement.
 	TierScalar TierID = iota
-	// TierPacked packs each mul-by-constant row into one uint64 (m <= 4).
-	TierPacked
 	// TierTable is the flat order x order product table (m <= 8).
 	TierTable
-	// TierBitsliced is the 64-bit SWAR lane tier: computed shift-and-add
-	// multiplication over 8 byte lanes (m <= 8) or 4 halfword lanes
-	// (m <= 16), no tables.
-	TierBitsliced
-	// TierCLMul is the carry-less-multiply tier: products via integer
-	// multiplies with hole masks, reductions via Barrett division — the
-	// software analogue of the paper's gf32bMult datapath.
+	// TierCLMul is the carry-less-multiply minimal-polynomial fold behind
+	// BitSyndromePlan.Run: the software analogue of the paper's
+	// gf32bMult datapath.
 	TierCLMul
-	// NumTiers is the number of registered tiers.
+	// NumTiers is the number of tiers.
 	NumTiers
 
-	// TierAuto means "no pin / no force": use the calibrated selection.
+	// TierAuto means "no pin / no force": use the static rule.
 	TierAuto TierID = 0xFF
 )
 
-var tierNames = [NumTiers]string{"scalar", "packed", "table", "bitsliced", "clmul"}
+var tierNames = [NumTiers]string{"scalar", "table", "clmul"}
 
-// String returns the tier's registry name.
+// foldMinBits is the shortest binary word BitSyndromePlan.Run folds
+// with the clmul tier; shorter words take the plain SyndromeBitSlice.
+// Fixed from the fold-vs-table sweep recorded in docs/GF.md.
+const foldMinBits = 64
+
+// String returns the tier's name.
 func (t TierID) String() string {
 	if t == TierAuto {
 		return "auto"
@@ -76,14 +68,14 @@ func (t TierID) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
-// TierNames returns the registry names of all tiers in TierID order.
+// TierNames returns the names of all tiers in TierID order.
 func TierNames() []string {
 	out := make([]string, NumTiers)
 	copy(out, tierNames[:])
 	return out
 }
 
-// ParseTier maps a registry name (or "auto"/"") to a TierID.
+// ParseTier maps a tier name (or "auto"/"") to a TierID.
 func ParseTier(name string) (TierID, error) {
 	if name == "" || name == "auto" {
 		return TierAuto, nil
@@ -93,94 +85,7 @@ func ParseTier(name string) (TierID, error) {
 			return TierID(i), nil
 		}
 	}
-	return TierAuto, fmt.Errorf("gf: unknown kernel tier %q (want scalar, packed, table, bitsliced, clmul or auto)", name)
-}
-
-// kernelOp indexes the dispatchable bulk operations. AddSlice/XorSlice
-// and the stride copies are tier-independent (pure XOR / moves) and are
-// not dispatched.
-type kernelOp uint8
-
-const (
-	opMulConst kernelOp = iota
-	opMulConstAdd
-	opDot
-	opHorner
-	opEval
-	opSyndrome
-	opHornerBit
-	opSyndromeBit
-	// opSyndromeBitFold is the pseudo-op behind BitSyndromePlan.Run: same
-	// semantics as opSyndromeBit but with the clmul minpoly fold as an
-	// extra candidate (the fold needs per-point precomputation a direct
-	// SyndromeBitSlice call cannot amortize, so the two routes calibrate
-	// separately).
-	opSyndromeBitFold
-	numOps
-)
-
-var opNames = [numOps]string{
-	"mulconst", "mulconstadd", "dot", "horner",
-	"eval", "syndrome", "hornerbit", "syndromebit", "syndromebitfold",
-}
-
-// tierOps is the per-field op table one tier builds. A nil function
-// means the tier does not implement that op for this field; the
-// dispatcher falls back to the scalar reference. The table/packed tiers
-// additionally expose their lookup state so the LFSR bank (and the
-// legacy Kernels accessors) can reuse it.
-type tierOps struct {
-	mulConst    func(dst, src []Elem, c Elem)
-	mulConstAdd func(dst, src []Elem, c Elem)
-	dot         func(a, b []Elem) Elem
-	horner      func(word []Elem, x Elem) Elem
-	eval        func(coeffs []Elem, x Elem) Elem
-	syndrome    func(dst, word, xs []Elem)
-	hornerBit   func(bits []byte, x Elem) Elem
-	syndromeBit func(dst []Elem, bits []byte, xs []Elem)
-
-	mul    []Elem   // table tier: flat product table (row c at [c*order:(c+1)*order])
-	packed []uint64 // packed tier: one uint64 row per constant
-}
-
-// supports reports whether the tier implements op.
-func (t *tierOps) supports(op kernelOp) bool {
-	if t == nil {
-		return false
-	}
-	switch op {
-	case opMulConst:
-		return t.mulConst != nil
-	case opMulConstAdd:
-		return t.mulConstAdd != nil
-	case opDot:
-		return t.dot != nil
-	case opHorner:
-		return t.horner != nil
-	case opEval:
-		return t.eval != nil
-	case opSyndrome:
-		return t.syndrome != nil
-	case opHornerBit:
-		return t.hornerBit != nil
-	case opSyndromeBit, opSyndromeBitFold:
-		return t.syndromeBit != nil
-	}
-	return false
-}
-
-// tierBuilders is the registry: one builder per tier, filled by init()
-// in each tier's source file. A builder returns nil when the tier does
-// not support the field at all (e.g. table tiers above m = 8).
-var tierBuilders [NumTiers]func(*Field) *tierOps
-
-// registerTier installs a tier builder. Called from init() only;
-// double registration is a programming error.
-func registerTier(id TierID, build func(*Field) *tierOps) {
-	if tierBuilders[id] != nil {
-		panic(fmt.Sprintf("gf: tier %v registered twice", id))
-	}
-	tierBuilders[id] = build
+	return TierAuto, fmt.Errorf("gf: unknown kernel tier %q (want auto|scalar|table|clmul)", name)
 }
 
 // forcedTier is the process-wide tier override, stored as int32(TierID).
@@ -198,13 +103,12 @@ func init() {
 }
 
 // ForceKernelTier forces every auto-dispatched kernel call process-wide
-// onto the given tier (ops the tier does not implement for a field
-// still fall back to the scalar reference). ForceKernelTier(TierAuto)
-// restores calibrated selection. This is the programmatic form of the
-// GFP_KERNEL_TIER environment variable and the -kernel-tier flag of
-// gfpipe/gfserved. Safe for concurrent use.
+// onto the given tier; ForceKernelTier(TierAuto) restores the static
+// rule. Processes set the force through the GFP_KERNEL_TIER environment
+// variable; tests and the per-tier benchmarks use this entry point.
+// Safe for concurrent use.
 func ForceKernelTier(t TierID) { forcedTier.Store(int32(t)) }
 
 // ForcedKernelTier returns the current process-wide override, or
-// TierAuto when selection is calibrated.
+// TierAuto when the static rule is in force.
 func ForcedKernelTier() TierID { return TierID(forcedTier.Load()) }

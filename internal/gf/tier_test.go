@@ -1,6 +1,8 @@
 package gf
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -54,8 +56,11 @@ func TestParseTier(t *testing.T) {
 			t.Errorf("ParseTier(%q) = %v, %v; want TierAuto", name, got, err)
 		}
 	}
-	if _, err := ParseTier("simd"); err == nil {
-		t.Error("ParseTier(simd): want error")
+	for _, name := range []string{"simd", "packed", "bitsliced"} {
+		_, err := ParseTier(name)
+		if err == nil || !strings.Contains(err.Error(), "auto|scalar|table|clmul") {
+			t.Errorf("ParseTier(%s): error %v, want one listing auto|scalar|table|clmul", name, err)
+		}
 	}
 }
 
@@ -64,106 +69,146 @@ func TestAvailableTiers(t *testing.T) {
 		m    int
 		want []string
 	}{
-		{4, []string{"scalar", "packed", "table", "bitsliced", "clmul"}},
-		{8, []string{"scalar", "table", "bitsliced", "clmul"}},
-		{12, []string{"scalar", "bitsliced", "clmul"}},
-		{16, []string{"scalar", "bitsliced", "clmul"}},
+		{4, []string{"scalar", "table", "clmul"}},
+		{8, []string{"scalar", "table", "clmul"}},
+		{12, []string{"scalar", "clmul"}},
+		{16, []string{"scalar", "clmul"}},
 	}
 	for _, tc := range cases {
-		f, err := NewDefault(tc.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := f.Kernels().AvailableTiers()
-		if len(got) != len(tc.want) {
+		got := MustDefault(tc.m).Kernels().AvailableTiers()
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("m=%d: AvailableTiers() = %v, want %v", tc.m, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("m=%d: AvailableTiers() = %v, want %v", tc.m, got, tc.want)
-				break
-			}
 		}
 	}
 }
 
-// TestForcedTierRouting checks that the process-wide force routes every
-// auto-dispatched call onto the forced tier (with scalar fallback for
-// unimplemented ops) and that outputs stay bit-exact with the scalar
-// reference under every force.
+// TestForcedTierRouting checks which tier each call is charged to —
+// under the static rule, under every process-wide force and on a pinned
+// view — and that outputs stay bit-exact with the scalar reference
+// everywhere. BitSyndromePlan.Run is probed on both sides of
+// foldMinBits.
 func TestForcedTierRouting(t *testing.T) {
-	defer ForceKernelTier(TierAuto)
-	f, err := NewDefault(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, ref := f.Kernels(), f.ScalarKernels()
-	n := 255
-	src := make([]Elem, n)
-	for i := range src {
-		src[i] = Elem(i)
-	}
-	want := make([]Elem, n)
-	ref.MulConstSlice(want, src, 0x57)
+	defer ForceKernelTier(ForcedKernelTier())
+	f8, f16 := MustDefault(8), MustDefault(16)
+	const (
+		mulConst = "MulConstSlice"
+		planLong = "Plan.Run n=foldMinBits"
+		planShrt = "Plan.Run n=foldMinBits-1"
+	)
+	cases := []struct {
+		f      *Field
+		scalar bool // drive the pinned-scalar view
+		force  TierID
+		op     string
+		want   TierID
+	}{
+		{f8, false, TierAuto, mulConst, TierTable},
+		{f8, false, TierAuto, planLong, TierCLMul},
+		{f8, false, TierAuto, planShrt, TierTable},
+		{f16, false, TierAuto, mulConst, TierScalar},
+		{f16, false, TierAuto, planLong, TierCLMul},
+		{f16, false, TierAuto, planShrt, TierScalar},
 
-	for id := TierID(0); id < NumTiers; id++ {
-		ForceKernelTier(id)
-		if got := ForcedKernelTier(); got != id {
-			t.Fatalf("ForcedKernelTier() = %v, want %v", got, id)
+		{f8, false, TierScalar, mulConst, TierScalar},
+		{f8, false, TierScalar, planLong, TierScalar},
+		{f8, false, TierTable, mulConst, TierTable},
+		{f8, false, TierTable, planLong, TierTable},
+		{f16, false, TierTable, mulConst, TierScalar},
+		{f8, false, TierCLMul, mulConst, TierScalar},
+		{f8, false, TierCLMul, planShrt, TierCLMul},
+
+		// A pin outranks the force: scalar views stay scalar.
+		{f8, true, TierTable, mulConst, TierScalar},
+		{f8, true, TierCLMul, planLong, TierScalar},
+		{f8, true, TierAuto, planLong, TierScalar},
+	}
+	for _, tc := range cases {
+		ForceKernelTier(tc.force)
+		k, ref := tc.f.Kernels(), tc.f.ScalarKernels()
+		if tc.scalar {
+			k = ref
 		}
-		got := make([]Elem, n)
+		var got, want []Elem
 		before := KernelCalls()
-		k.MulConstSlice(got, src, 0x57)
-		after := KernelCalls()
-		for i := range got {
+		switch tc.op {
+		case mulConst:
+			src := make([]Elem, 255)
+			for i := range src {
+				src[i] = Elem(i + 1)
+			}
+			got, want = make([]Elem, len(src)), make([]Elem, len(src))
+			k.MulConstSlice(got, src, 0x57)
+			after := KernelCalls()
+			ref.MulConstSlice(want, src, 0x57)
+			checkCharged(t, tc.f, tc.force, tc.op, before, after, tc.want)
+		default:
+			n := foldMinBits
+			if tc.op == planShrt {
+				n--
+			}
+			bits := make([]byte, n)
+			for i := range bits {
+				bits[i] = byte(i*7/3) & 1
+			}
+			xs := []Elem{tc.f.Exp(1), tc.f.Exp(3), tc.f.Exp(5), tc.f.Exp(7), tc.f.Exp(9)}
+			plan := k.NewBitSyndromePlan(xs)
+			got, want = make([]Elem, len(xs)), make([]Elem, len(xs))
+			before = KernelCalls()
+			plan.Run(got, bits)
+			after := KernelCalls()
+			ref.SyndromeBitSlice(want, bits, xs)
+			checkCharged(t, tc.f, tc.force, tc.op, before, after, tc.want)
+		}
+		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("forced %v: MulConstSlice[%d] = %d, want %d", id, i, got[i], want[i])
+				t.Fatalf("%v force=%v %s: [%d] = %d, scalar reference %d", tc.f, tc.force, tc.op, i, got[i], want[i])
 			}
 		}
-		// The hit lands on the forced tier when it implements the op for
-		// this field, on scalar otherwise (packed is m <= 4 only).
-		charged := id
-		if k.tiers[id] == nil || !k.tiers[id].supports(opMulConst) {
-			charged = TierScalar
-		}
-		if after[charged]-before[charged] < 1 {
-			t.Errorf("forced %v: no hit charged to %v", id, charged)
-		}
-	}
-	ForceKernelTier(TierAuto)
-
-	// A pin outranks the force: scalar views stay scalar under any force.
-	ForceKernelTier(TierTable)
-	before := KernelCalls()
-	got := make([]Elem, n)
-	ref.MulConstSlice(got, src, 0x57)
-	after := KernelCalls()
-	if after[TierScalar]-before[TierScalar] < 1 {
-		t.Error("pinned scalar view did not charge the scalar tier under a table force")
 	}
 }
 
-// TestTierSelectionShape sanity-checks the calibrated selection: every
-// op resolves to an available tier that supports it (or scalar), at
-// both short and long lengths.
-func TestTierSelectionShape(t *testing.T) {
-	f, err := NewDefault(8)
-	if err != nil {
-		t.Fatal(err)
+// checkCharged asserts that exactly one call was charged, to want.
+func checkCharged(t *testing.T, f *Field, force TierID, op string, before, after [NumTiers]int64, want TierID) {
+	t.Helper()
+	for id := TierID(0); id < NumTiers; id++ {
+		d := after[id] - before[id]
+		if id == want && d < 1 || id != want && d != 0 {
+			t.Errorf("%v force=%v %s: %v charged %d calls, want the call on %v", f, force, op, id, d, want)
+		}
 	}
-	k := f.Kernels()
-	for op := kernelOp(0); op < numOps; op++ {
-		for _, n := range []int{1, 16, 63, 255, 4096} {
-			tier := k.tierFor(op, n)
-			if tier == TierAuto || k.tiers[tier] == nil {
-				t.Fatalf("op %s n=%d: resolved to unavailable tier %v", opNames[op], n, tier)
+}
+
+// TestTierSelectionShape checks that the published rows tell the truth:
+// for every field shape and length, the tier the dispatcher resolves on
+// the auto view is the one its Selections row names.
+func TestTierSelectionShape(t *testing.T) {
+	defer ForceKernelTier(ForcedKernelTier())
+	ForceKernelTier(TierAuto)
+	for _, m := range []int{1, 4, 8, 12, 16} {
+		f := MustDefault(m)
+		k := f.Kernels()
+		rows := 0
+		for _, r := range Selections() {
+			if r.Field != f.String() {
+				continue
 			}
-			if op != opSyndromeBitFold && !k.tiers[tier].supports(op) && tier != TierScalar {
-				// dispatch() would fall back to scalar; the selection should
-				// not have picked an unsupporting tier in the first place.
-				t.Errorf("op %s n=%d: selection picked %v which lacks the op", opNames[op], n, tier)
+			rows++
+			for _, n := range []int{1, foldMinBits - 1, foldMinBits, 4096} {
+				want := r.Below
+				if r.Crossover > 0 && n >= r.Crossover {
+					want = r.Above
+				}
+				got := k.plainTier()
+				if r.Op == "syndromebitfold" && k.folds(n) {
+					got = TierCLMul
+				}
+				if got.String() != want {
+					t.Errorf("%v op %s n=%d: dispatch resolves %v, Selections says %s", f, r.Op, n, got, want)
+				}
 			}
+		}
+		if rows != len(opNames) {
+			t.Errorf("%v: %d selection rows, want %d", f, rows, len(opNames))
 		}
 	}
 }

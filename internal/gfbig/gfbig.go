@@ -251,10 +251,9 @@ func xorShifted(r []uint32, w uint32, pos int) {
 }
 
 // Mul returns the reduced product a*b: full product + Reduce (the
-// paper's "direct product" method). The full-product path is picked by
-// the kernel-tier strategy in clmul64.go — schoolbook 32x32 words or
-// paired 64-bit carry-less limbs — and honors a forced kernel tier
-// (GFP_KERNEL_TIER / gf.ForceKernelTier).
+// paper's "direct product" method). The full product is two-level
+// Karatsuba, or the 32x32-word schoolbook under a forced scalar kernel
+// tier (MulStrategy).
 func (f *Field) Mul(a, b Elem) Elem { return f.Reduce(f.mulFullAuto(a, b)) }
 
 // SqrFull returns the unreduced square of a: each word's bits spread with

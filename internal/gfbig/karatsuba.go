@@ -8,10 +8,17 @@ package gfbig
 
 // MulFullKaratsuba returns the unreduced product of a and b using
 // recursive Karatsuba with the given number of levels (0 = schoolbook).
-// The result is identical to MulFull.
+// The result is identical to MulFull. The temporaries live in one
+// arena (karatsubaArena) on the stack, so the result is the only
+// allocation, as for MulFull.
 func (f *Field) MulFullKaratsuba(a, b Elem, levels int) []uint32 {
 	out := make([]uint32, 2*f.words)
-	karatsuba(out, a, b, levels)
+	var stack [128]uint32 // the two-level arena of every NIST field (GF(2^571): 110 words)
+	arena := stack[:]
+	if n := karatsubaArenaSize(f.words, levels); n > len(stack) {
+		arena = make([]uint32, n)
+	}
+	karatsubaArena(out, a, b, levels, arena)
 	return out
 }
 
@@ -19,50 +26,6 @@ func (f *Field) MulFullKaratsuba(a, b Elem, levels int) []uint32 {
 // Karatsuba decomposition.
 func (f *Field) MulKaratsuba(a, b Elem) Elem {
 	return f.Reduce(f.MulFullKaratsuba(a, b, 2))
-}
-
-// karatsuba xors a*b into out (len(out) >= len(a)+len(b)).
-func karatsuba(out []uint32, a, b []uint32, levels int) {
-	n := len(a)
-	if len(b) != n {
-		panic("gfbig: karatsuba operand length mismatch")
-	}
-	if levels <= 0 || n < 2 {
-		schoolbookInto(out, a, b)
-		return
-	}
-	h := n / 2
-	a0, a1 := a[:h], a[h:]
-	b0, b1 := b[:h], b[h:]
-	// p0 = a0*b0, p2 = a1*b1, p1 = (a0+a1)*(b0+b1).
-	// a1/b1 may be one word longer when n is odd; pad the sums.
-	hw := n - h
-	as := make([]uint32, hw)
-	bs := make([]uint32, hw)
-	copy(as, a1)
-	copy(bs, b1)
-	for i := 0; i < h; i++ {
-		as[i] ^= a0[i]
-		bs[i] ^= b0[i]
-	}
-	p0 := make([]uint32, 2*h)
-	p2 := make([]uint32, 2*hw)
-	p1 := make([]uint32, 2*hw)
-	karatsuba(p0, a0, b0, levels-1)
-	karatsuba(p2, a1, b1, levels-1)
-	karatsuba(p1, as, bs, levels-1)
-	// out += p0 + (p0+p1+p2) << h + p2 << 2h  (word shifts).
-	for i, w := range p0 {
-		out[i] ^= w
-		out[i+h] ^= w
-	}
-	for i, w := range p1 {
-		out[i+h] ^= w
-	}
-	for i, w := range p2 {
-		out[i+h] ^= w
-		out[i+2*h] ^= w
-	}
 }
 
 func schoolbookInto(out []uint32, a, b []uint32) {

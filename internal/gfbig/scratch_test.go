@@ -2,7 +2,10 @@ package gfbig
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/gf"
 )
 
 func testFields() []*Field {
@@ -112,7 +115,6 @@ func TestScratchZeroAlloc(t *testing.T) {
 	a, b := es[0], es[1]
 	dst := f.Zero()
 	full := f.MulFull(a, b)
-	f.MulStrategy() // calibrate outside the measured window
 	cases := []struct {
 		name string
 		fn   func()
@@ -131,7 +133,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 }
 
 // TestMulFullIntoEveryStrategyZeroAlloc pins the strategy explicitly so
-// the zero-alloc property holds regardless of what calibration picked.
+// the zero-alloc property holds under every kernel-tier force.
 func TestMulFullIntoEveryStrategyZeroAlloc(t *testing.T) {
 	f := F233()
 	s := f.NewScratch()
@@ -183,7 +185,7 @@ func TestSetBytesIntoRoundTrip(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	want := []string{"schoolbook", "karatsuba", "comb", "clmul"}
+	want := []string{"schoolbook", "karatsuba"}
 	got := StrategyNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("StrategyNames() = %v, want %v", got, want)
@@ -191,6 +193,37 @@ func TestStrategyNames(t *testing.T) {
 	for st := StratSchoolbook; st < NumStrategies; st++ {
 		if st.String() != want[st] {
 			t.Fatalf("Strategy(%d).String() = %q", st, st.String())
+		}
+	}
+}
+
+// TestMulForcedTierRouting checks the static strategy rule — karatsuba
+// in auto mode, schoolbook under a forced scalar tier, karatsuba under
+// the other forces — and that Mul stays bit-exact under every force.
+func TestMulForcedTierRouting(t *testing.T) {
+	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	f := F233()
+	rng := rand.New(rand.NewSource(233))
+	cases := []struct {
+		tier gf.TierID
+		want Strategy
+	}{
+		{gf.TierAuto, StratKaratsuba},
+		{gf.TierScalar, StratSchoolbook},
+		{gf.TierTable, StratKaratsuba},
+		{gf.TierCLMul, StratKaratsuba},
+	}
+	for _, tc := range cases {
+		gf.ForceKernelTier(tc.tier)
+		if got := f.MulStrategy(); got != tc.want {
+			t.Errorf("tier %v: MulStrategy() = %v, want %v", tc.tier, got, tc.want)
+		}
+		for trial := 0; trial < 16; trial++ {
+			a, b := randElem(rng, f), randElem(rng, f)
+			want := f.Reduce(f.MulFull(a, b))
+			if got := f.Mul(a, b); !f.Equal(got, want) {
+				t.Fatalf("tier %v: Mul = %s, want %s", tc.tier, f.Hex(got), f.Hex(want))
+			}
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // and exhaustive root finding (Chien search).
 //
 // The coefficient loops run on gf.Kernels, so each call is served by
-// whichever kernel tier (table, bitsliced, clmul, ...) the calibrated
-// per-(op, length) selection — or a GFP_KERNEL_TIER force — picks;
-// results are bit-exact regardless of tier (see docs/GF.md).
+// the table tier for m <= 8 and the scalar reference above, or by the
+// tier a GFP_KERNEL_TIER force names; results are bit-exact regardless
+// of tier (see docs/GF.md).
 package gfpoly
 
 import (

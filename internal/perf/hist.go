@@ -112,8 +112,11 @@ func (h *Hist) Mean() time.Duration {
 func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
-// top edge of the bucket containing it. Resolution is a factor of two,
-// which is enough to tell microseconds from milliseconds in a report.
+// top edge of the bucket containing it, clamped to the largest sample
+// observed. Resolution is a factor of two, which is enough to tell
+// microseconds from milliseconds in a report. The result lies within
+// [min, max] of the samples: the edge is above every sample in its
+// bucket, so it is never below the smallest one.
 func (h *Hist) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
@@ -127,11 +130,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen > rank {
-			if i == histBuckets-1 {
-				return h.Max()
-			}
-			// Top edge of bucket i = 2^(i+1) (exclusive upper bound).
-			return time.Duration(int64(1) << (i + 1))
+			return time.Duration(min(BucketUpperNs(i), h.max.Load()))
 		}
 	}
 	return h.Max()
@@ -232,7 +231,8 @@ func (s HistSnapshot) MeanNs() int64 {
 }
 
 // Quantile returns an upper bound in nanoseconds for the q-quantile
-// (0 < q <= 1), with the same bucket-edge resolution as Hist.Quantile.
+// (0 < q <= 1), with the same bucket-edge resolution and the same clamp
+// to MaxNs as Hist.Quantile.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -245,10 +245,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	for i := 0; i < NumBuckets; i++ {
 		seen += s.Buckets[i]
 		if seen > rank {
-			if i == NumBuckets-1 {
-				return s.MaxNs
-			}
-			return BucketUpperNs(i)
+			return min(BucketUpperNs(i), s.MaxNs)
 		}
 	}
 	return s.MaxNs

@@ -55,6 +55,40 @@ func TestHistQuantileUpperBound(t *testing.T) {
 	}
 }
 
+// TestHistQuantileWithinObserved: a quantile is a bucket's top edge
+// clamped to [min, max] of the samples, for the live Hist and for its
+// snapshot alike — a report never prints a p99 above its max.
+func TestHistQuantileWithinObserved(t *testing.T) {
+	cases := []struct {
+		name    string
+		samples []time.Duration
+		q       float64
+		want    time.Duration
+	}{
+		{"one sample under its bucket edge", []time.Duration{15400 * time.Microsecond}, 0.99, 15400 * time.Microsecond},
+		{"3ns, edge 4ns", []time.Duration{3}, 1, 3},
+		{"zero", []time.Duration{0}, 0.5, 0},
+		{"p50 below max keeps the edge", []time.Duration{time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond, 100 * time.Microsecond}, 0.5, 4096},
+		{"p99 on the max sample", []time.Duration{time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond, 100 * time.Microsecond}, 0.99, 100 * time.Microsecond},
+		{"overflow bucket", []time.Duration{time.Millisecond, 1000 * time.Hour}, 1, 1000 * time.Hour},
+	}
+	for _, tc := range cases {
+		var h Hist
+		lo, hi := tc.samples[0], tc.samples[0]
+		for _, d := range tc.samples {
+			h.Observe(d)
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		got, snap := h.Quantile(tc.q), time.Duration(h.Snapshot().Quantile(tc.q))
+		if got != tc.want || snap != tc.want {
+			t.Errorf("%s: Quantile(%v) = %v, snapshot %v; want %v", tc.name, tc.q, got, snap, tc.want)
+		}
+		if got < lo || got > hi {
+			t.Errorf("%s: Quantile(%v) = %v outside observed [%v, %v]", tc.name, tc.q, got, lo, hi)
+		}
+	}
+}
+
 // TestHistQuantileOrder: quantiles are monotone in q and bounded by Max.
 func TestHistQuantileOrder(t *testing.T) {
 	var h Hist

@@ -107,8 +107,8 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 }
 
 // RegisterGFKernelMetrics registers the process-wide gf bulk-kernel
-// tier counters — one series per registered tier (scalar, packed,
-// table, bitsliced, clmul), labeled with the tier's registry name —
+// tier counters — one series per tier (scalar, table, clmul), labeled
+// with the tier's name —
 // plus the active kernel-tier override as a gauge. Call at most once
 // per registry.
 func RegisterGFKernelMetrics(reg *obs.Registry) {
@@ -119,7 +119,7 @@ func RegisterGFKernelMetrics(reg *obs.Registry) {
 			func() int64 { return gf.KernelCalls()[id] }, obs.L("tier", tier))
 	}
 	reg.GaugeFunc("gfp_gf_kernel_tier_forced",
-		"Process-wide forced kernel tier as a TierID (-1 = auto/calibrated).",
+		"Process-wide forced kernel tier as a TierID (-1 = auto, the static rule).",
 		func() float64 {
 			if t := gf.ForcedKernelTier(); t != gf.TierAuto {
 				return float64(t)

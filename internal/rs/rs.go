@@ -10,12 +10,11 @@
 // provides in hardware.
 //
 // The hot paths (EncodeTo's LFSR bank, SyndromesTo, the BMA/Chien/
-// Forney slice loops) ride gf.Kernels, so the serving implementation
-// tier — flat product table, bitsliced SWAR or carry-less multiply —
-// is chosen per (op, length) at runtime and can be pinned process-wide
-// with GFP_KERNEL_TIER / -kernel-tier; every tier is differentially
-// verified against the scalar reference, so codewords are bit-exact
-// regardless (see docs/GF.md).
+// Forney slice loops) ride gf.Kernels, which serve them from the flat
+// product table for m <= 8 and from the scalar reference above — a
+// static rule that GFP_KERNEL_TIER can override process-wide; every
+// tier is differentially verified against the scalar reference, so
+// codewords are bit-exact regardless (see docs/GF.md).
 //
 // Concurrency: a *Code (and a *Interleaved wrapping it) is immutable
 // after construction — the generator polynomial and the underlying

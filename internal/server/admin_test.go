@@ -135,6 +135,18 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A reply reaches the client before the writer books it; wait until
+	// all 8 are booked.
+	settled := make(chan struct{})
+	go func() {
+		s.ctr.unsettled.Wait()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server requests still unsettled after 10s")
+	}
 
 	code, body, ct := get("/metrics")
 	if code != http.StatusOK {

@@ -386,14 +386,14 @@ func (s *Server) dispatch() {
 			if om.f != nil {
 				om.f.Recycle()
 			}
-			s.ctr.dropped.Add(1)
+			s.ctr.settle(&s.ctr.dropped)
 		case routeFull:
 			// Window invariant broken — should be impossible. Kill the
 			// connection rather than stall every other client.
 			if om.f != nil {
 				om.f.Recycle()
 			}
-			s.ctr.dropped.Add(1)
+			s.ctr.settle(&s.ctr.dropped)
 			s.logf("server: write queue overflow on %v (window invariant)", pr.c.nc.RemoteAddr())
 			pr.c.fail()
 		}
@@ -599,6 +599,7 @@ func (c *conn) readLoop() {
 			return
 		}
 		readAt := time.Now()
+		c.s.ctr.unsettled.Add()
 		c.s.ctr.requests.Add(1)
 		c.s.ctr.bytesIn.Add(int64(headerSize + len(m.Params) + len(m.Payload)))
 		if !c.handle(m, readAt) {
@@ -616,7 +617,7 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 	select {
 	case c.sem <- struct{}{}:
 	case <-c.dead:
-		c.s.ctr.dropped.Add(1) // framed but the connection died first
+		c.s.ctr.settle(&c.s.ctr.dropped) // framed but the connection died first
 		return false
 	}
 	// A traced request ends its params with a trace-context extension;
@@ -727,7 +728,7 @@ func (c *conn) send(om outMsg) bool {
 			return true
 		case routeClosed:
 			if !om.unled {
-				c.s.ctr.dropped.Add(1)
+				c.s.ctr.settle(&c.s.ctr.dropped)
 			}
 			return false
 		case routeFull:
@@ -811,11 +812,11 @@ func (c *conn) account(om outMsg, written bool) {
 	}
 	switch {
 	case !written:
-		c.s.ctr.dropped.Add(1)
+		c.s.ctr.settle(&c.s.ctr.dropped)
 	case om.m.Status == StatusOK:
-		c.s.ctr.responses.Add(1)
+		c.s.ctr.settle(&c.s.ctr.responses)
 	default:
-		c.s.ctr.rejects.Add(1)
+		c.s.ctr.settle(&c.s.ctr.rejects)
 	}
 }
 

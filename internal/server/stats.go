@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/perf"
@@ -17,6 +18,50 @@ type counters struct {
 	protoErrors   atomic.Int64
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
+	unsettled     Unsettled
+}
+
+// settle books a counted request's terminal outcome on terminal
+// (responses, rejects or dropped) and marks the request settled.
+func (c *counters) settle(terminal *atomic.Int64) {
+	terminal.Add(1)
+	c.unsettled.Done()
+}
+
+// Unsettled counts ledgered requests that are counted in Requests but
+// have not yet reached their terminal counter. Wait blocks until the
+// count is zero: the point at which Requests == Responses + Rejects +
+// Dropped holds exactly. The zero value is ready to use.
+type Unsettled struct {
+	n    atomic.Int64
+	mu   sync.Mutex
+	zero *sync.Cond // bound to mu on first Wait
+}
+
+// Add counts one more request in flight.
+func (u *Unsettled) Add() { u.n.Add(1) }
+
+// Done marks one request settled, waking Wait when none is left.
+func (u *Unsettled) Done() {
+	if u.n.Add(-1) == 0 {
+		u.mu.Lock()
+		if u.zero != nil {
+			u.zero.Broadcast()
+		}
+		u.mu.Unlock()
+	}
+}
+
+// Wait blocks until every request counted so far is settled.
+func (u *Unsettled) Wait() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.zero == nil {
+		u.zero = sync.NewCond(&u.mu)
+	}
+	for u.n.Load() > 0 {
+		u.zero.Wait()
+	}
 }
 
 // snapshot reads the counters in an order that keeps the request ledger
