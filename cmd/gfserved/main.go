@@ -3,23 +3,23 @@
 // rs-encode / rs-decode / aes-gcm-seal / aes-gcm-open / stats requests
 // plus the binary-field ECC ops (ecdh-derive / ecdsa-sign /
 // ecdsa-verify / secure-session, on -curve) from many concurrent
-// connections, multiplexed into one shared internal/pipeline run and
-// answered out of order by request id.
+// connections, served by one shared worker pool and answered in
+// completion order, matched by request id.
 //
 // The codec knobs mirror cmd/gfpipe: one RS(n,k) code over GF(2^8),
-// interleaved to -depth, with per-stage worker pools sized by -workers
-// and -queue. SIGINT/SIGTERM triggers a graceful shutdown — the
-// listener closes, every in-flight request drains to its connection,
-// and a final stats snapshot is printed.
+// interleaved to -depth, served by a pool of -workers goroutines.
+// SIGINT/SIGTERM triggers a graceful shutdown — the listener closes,
+// every in-flight request drains to its connection, and a final stats
+// snapshot is printed.
 //
 // Usage:
 //
 //	gfserved [-addr :4650] [-n 255] [-k 239] [-depth 1] [-workers 0]
-//	         [-queue 0] [-window 32] [-max-payload 1048576]
+//	         [-window 32] [-max-payload 1048576]
 //	         [-key STRING] [-curve K-233] [-ecc-key STRING]
 //	         [-read-timeout 2m] [-write-timeout 30s]
 //	         [-grace 30s] [-quiet] [-admin ADDR] [-progress DUR]
-//	         [-trace-every 64] [-trace-slowest 16] [-trace-ring 256]
+//	         [-trace-ring 256]
 //	         [-log-format text|json] [-slo SPEC] [-slo-window 1m]
 //	         [-wide-every N]
 //
@@ -61,7 +61,6 @@ type cliConfig struct {
 	n, k         int
 	depth        int
 	workers      int
-	queue        int
 	batch        int
 	window       int
 	maxPayload   int
@@ -74,8 +73,6 @@ type cliConfig struct {
 	quiet        bool
 	adminAddr    string
 	progress     time.Duration
-	traceEvery   int
-	traceSlowest int
 	traceRing    int
 	logFormat    string
 	slo          string
@@ -117,8 +114,7 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 239, "RS message length (symbols)")
 	flag.IntVar(&cfg.depth, "depth", 1, "interleaving depth (codewords per frame)")
 	flag.IntVar(&cfg.batch, "batch", 1, "max interleaver frames per RS request (payload = multiple of the frame unit)")
-	flag.IntVar(&cfg.workers, "workers", 0, "pipeline workers per stage (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.queue, "queue", 0, "pipeline queue depth (0 = 2*workers)")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines serving every connection's requests (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.window, "window", 32, "max in-flight requests per connection")
 	flag.IntVar(&cfg.maxPayload, "max-payload", server.DefaultMaxPayload, "max request payload bytes")
 	flag.StringVar(&cfg.key, "key", "", "AES key for seal/open (16/24/32 bytes; empty = demo key)")
@@ -132,8 +128,6 @@ func main() {
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the final stats snapshot")
 	flag.StringVar(&cfg.adminAddr, "admin", "", "admin HTTP listen address for /metrics, /healthz, /statsz and /debug/pprof (empty = off)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "print a one-line stats summary at this interval (0 = off)")
-	flag.IntVar(&cfg.traceEvery, "trace-every", 64, "sample every Nth frame for lifecycle tracing (1 = all, 0 = off)")
-	flag.IntVar(&cfg.traceSlowest, "trace-slowest", 16, "slowest traced frames kept for /statsz")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "distributed-trace spans retained for /tracez (0 = 256)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "stderr log format: text or json")
 	flag.StringVar(&cfg.slo, "slo", "", "latency objectives, op=threshold@percent comma-separated (e.g. 'ecdsa-sign=5ms@99.9,default=2ms@99'; empty = off)")
@@ -164,14 +158,13 @@ func run(cfg cliConfig, out io.Writer) error {
 	}
 	s, err := server.New(server.Config{
 		N: cfg.n, K: cfg.k, Depth: cfg.depth, Batch: cfg.batch,
-		Workers: cfg.workers, Queue: cfg.queue,
+		Workers:     cfg.workers,
 		Key:         []byte(cfg.key),
 		Curve:       cfg.curve,
 		ECCKey:      []byte(cfg.eccKey),
 		MaxPayload:  cfg.maxPayload,
 		Window:      cfg.window,
 		ReadTimeout: cfg.readTimeout, WriteTimeout: cfg.writeTimeout,
-		TraceEvery: cfg.traceEvery, TraceSlowest: cfg.traceSlowest,
 		TraceRing: cfg.traceRing,
 		SLO:       obs.NewSLO(objectives, cfg.sloWindow),
 		WideLog:   wideLog,
@@ -217,7 +210,7 @@ func run(cfg cliConfig, out io.Writer) error {
 	}()
 
 	// Wait for the listener so the printed address is real (matters for
-	// -addr :0); New has already built the pipeline, so a bind error is
+	// -addr :0); New has already started the workers, so a bind error is
 	// the only thing that can race us here.
 	for s.Addr() == nil {
 		select {
@@ -262,8 +255,8 @@ func run(cfg cliConfig, out io.Writer) error {
 }
 
 // progressLoop prints one summary line per interval out of the metrics
-// registry: the request ledger, live connections, traced frames and the
-// pipeline p95 latency.
+// registry: the request ledger, live connections and the p95 latency
+// from submission to the worker pool to the response routed.
 func progressLoop(w io.Writer, reg *obs.Registry, interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -280,9 +273,6 @@ func progressLoop(w io.Writer, reg *obs.Registry, interval time.Duration, stop <
 		conns, _ := reg.Value("gfp_server_connections_active")
 		line := fmt.Sprintf("gfserved: req=%.0f resp=%.0f rej=%.0f drop=%.0f conns=%.0f",
 			req, resp, rej, drop, conns)
-		if traced, ok := reg.Value("gfp_pipeline_traced_frames_total"); ok {
-			line += fmt.Sprintf(" traced=%.0f", traced)
-		}
 		if h, ok := reg.HistValue("gfp_pipeline_latency_seconds"); ok && h.Count > 0 {
 			line += fmt.Sprintf(" p95=%s", time.Duration(h.Quantile(0.95)))
 		}

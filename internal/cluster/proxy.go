@@ -774,10 +774,15 @@ func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, err
 		rm, cerr := cl.Do(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload})
 		done <- callResult{rm, cerr}
 	}()
+	// A stopped NewTimer, not time.After: under go1.22 timer semantics an
+	// unfired time.After timer stays live for the full ForwardTimeout, so
+	// every forwarded request would retain one.
+	timeout := time.NewTimer(p.cfg.ForwardTimeout)
+	defer timeout.Stop()
 	var r callResult
 	select {
 	case r = <-done:
-	case <-time.After(p.cfg.ForwardTimeout):
+	case <-timeout.C:
 		cl.Close() // forces the pending Call to fail promptly
 		r = <-done
 		if r.err != nil {

@@ -61,9 +61,9 @@ type Frame struct {
 	// stages (zero for unmetered pipelines).
 	Counts perf.Counts
 	// Tag is opaque caller context carried through the pipeline
-	// untouched. Multiplexers (e.g. the codec server) attach their
-	// routing state here at submission and read it back at delivery,
-	// with no map or lock between the two.
+	// untouched. A caller attaches per-frame state here at submission
+	// and reads it back in a stage or at delivery, with no map or lock
+	// between the two.
 	Tag any
 	// Width is the number of codewords packed into this frame's payload.
 	// The codec stages set it when they infer the batch width from the
@@ -78,9 +78,6 @@ type Frame struct {
 	// pooled, when non-nil, is the pool-owned buffer backing Data,
 	// installed by a buffer-reusing stage and released by Frame.Recycle.
 	pooled *pooledBuf
-	// trace, when non-nil, is the sampled lifecycle record stamped by the
-	// stage workers and folded into the tracer's histograms at the sink.
-	trace *frameTrace
 }
 
 // width returns the frame's codeword count for accounting (Width, with
@@ -144,11 +141,6 @@ type Config struct {
 	// widths; Batch is carried here so all layers size payloads and
 	// queues consistently. 0 means 1 (unbatched).
 	Batch int
-	// Shards is the number of reorder-sink shards: frames fan out by
-	// Seq%Shards to per-shard sequencers whose ordered streams a final
-	// selector merges, so delivery-side stats folding parallelizes
-	// instead of serializing on one goroutine. 0 means min(4, Workers).
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -161,14 +153,14 @@ func (c Config) withDefaults() Config {
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}
-	if c.Shards <= 0 {
-		c.Shards = c.Workers
-		if c.Shards > 4 {
-			c.Shards = 4
-		}
-	}
 	return c
 }
+
+// maxShards caps the reorder sink's shard count: frames fan out by
+// Seq%shards to per-shard sequencers whose ordered streams a final
+// selector merges, so delivery-side stats folding parallelizes instead
+// of serializing on one goroutine. A run uses min(maxShards, Workers).
+const maxShards = 4
 
 // Pipeline is an immutable description of a stage sequence plus the
 // stats the stages accumulate across runs. Build one with New, then
@@ -177,7 +169,6 @@ type Pipeline struct {
 	cfg    Config
 	stages []Stage
 	stats  []*StageStats
-	tracer *Tracer // nil unless EnableTracing was called
 	// Total observes end-to-end submit-to-delivery latency.
 	Total Hist
 	// Sink counts delivered frames and codewords (see SinkStats).
@@ -197,9 +188,6 @@ func New(cfg Config, stages ...Stage) (*Pipeline, error) {
 	}
 	if cfg.Batch < 0 {
 		return nil, fmt.Errorf("pipeline: negative batch %d", cfg.Batch)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("pipeline: negative shard count %d", cfg.Shards)
 	}
 	if len(stages) == 0 {
 		return nil, errors.New("pipeline: no stages")
@@ -262,14 +250,15 @@ func (p *Pipeline) Start() *Run {
 	}
 	merged := newFrameRing(cfg.Queue)
 	var sink frameSink = merged
-	if cfg.Shards > 1 {
-		shards := make([]*frameRing, cfg.Shards)
+	nshards := min(maxShards, cfg.Workers)
+	if nshards > 1 {
+		shards := make([]*frameRing, nshards)
 		for i := range shards {
 			shards[i] = newFrameRing(cfg.Queue)
 		}
 		sink = &shardedSink{shards: shards}
 		var seqWG sync.WaitGroup
-		seqWG.Add(cfg.Shards)
+		seqWG.Add(nshards)
 		for i := range shards {
 			go r.sequencer(shards[i], merged, &seqWG)
 		}
@@ -281,25 +270,25 @@ func (p *Pipeline) Start() *Run {
 	src := r.in
 	for i, s := range p.stages {
 		if i == len(p.stages)-1 {
-			startStage(s, p.stats[i], i, p.tracer, cfg.Workers, src, sink)
+			startStage(s, p.stats[i], cfg.Workers, src, sink)
 			break
 		}
 		next := newFrameRing(cfg.Queue)
-		startStage(s, p.stats[i], i, p.tracer, cfg.Workers, src, next)
+		startStage(s, p.stats[i], cfg.Workers, src, next)
 		src = next
 	}
 	// With one shard there is nothing to fold in parallel: the last stage
 	// feeds the merged ring directly and the selector folds stats inline,
 	// costing no more handoffs than the pre-shard engine.
-	go r.selector(merged, cfg.Shards == 1)
+	go r.selector(merged, nshards == 1)
 	return r
 }
 
-// startStage spawns the worker pool for stage idx and closes dst once
+// startStage spawns the worker pool for stage s and closes dst once
 // every worker has drained src. Workers dequeue a run of frames per ring
 // synchronization and re-enqueue the whole run downstream in one bulk
 // put, so handoff cost amortizes over the run.
-func startStage(s Stage, st *StageStats, idx int, tr *Tracer, workers int, src *frameRing, dst frameSink) {
+func startStage(s Stage, st *StageStats, workers int, src *frameRing, dst frameSink) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -316,22 +305,8 @@ func startStage(s Stage, st *StageStats, idx int, tr *Tracer, workers int, src *
 					return
 				}
 				for _, f := range run[:n] {
-					if f.trace != nil {
-						f.trace.spans[idx].start = tr.now()
-					}
 					if f.Err == nil {
-						runStage(inst, st, f)
-					}
-					if f.trace != nil {
-						now := tr.now()
-						f.trace.spans[idx].fin = now
-						// The frame is ready for the next stage the moment this
-						// one finishes; time spent in the worker's run buffer and
-						// any blocked bulk put below (backpressure) then count as
-						// the next stage's queue wait.
-						if idx+1 < len(f.trace.spans) {
-							f.trace.spans[idx+1].enq = now
-						}
+						RunStage(inst, st, f)
 					}
 				}
 				dst.putAll(run[:n])
@@ -347,7 +322,12 @@ func startStage(s Stage, st *StageStats, idx int, tr *Tracer, workers int, src *
 	}()
 }
 
-func runStage(s Stage, st *StageStats, f *Frame) {
+// RunStage calls s.Process on f and folds the call into st: bytes,
+// latency, corrections, cycle counts, and on error f.Err/f.FailedAt.
+// It is what a Run's stage workers do per frame, exported for callers
+// that drive a stage from their own worker pool (the codec server) and
+// report it under the same metrics.
+func RunStage(s Stage, st *StageStats, f *Frame) {
 	st.BytesIn.Add(int64(len(f.Data)))
 	beforeCorrected := f.Corrected
 	beforeCounts := f.Counts
@@ -408,19 +388,6 @@ func (r *Run) SubmitTagged(data []byte, epoch int) uint64 {
 // stamps tag (which may be nil) onto Frame.Tag for delivery-time
 // routing. Like Submit it blocks while the first stage's queue is full.
 func (r *Run) SubmitChecked(data []byte, epoch int, tag any) (uint64, error) {
-	return r.submitChecked(data, epoch, tag, false)
-}
-
-// SubmitTracedChecked is SubmitChecked for request-scoped traced
-// frames: when traced is true and the pipeline has a tracer, the frame
-// is force-sampled so its per-stage lifecycle is recorded regardless of
-// the 1/N sampling tick (a traced request always yields stage spans).
-// With traced false it is exactly SubmitChecked.
-func (r *Run) SubmitTracedChecked(data []byte, epoch int, tag any, traced bool) (uint64, error) {
-	return r.submitChecked(data, epoch, tag, traced)
-}
-
-func (r *Run) submitChecked(data []byte, epoch int, tag any, force bool) (uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed {
@@ -429,18 +396,6 @@ func (r *Run) submitChecked(data []byte, epoch int, tag any, force bool) (uint64
 	f := framePool.Get().(*Frame)
 	*f = Frame{Data: data, Epoch: epoch, Tag: tag, submitted: time.Now()}
 	f.Seq = r.seq.Add(1) - 1
-	if tr := r.p.tracer; tr != nil {
-		var ft *frameTrace
-		if force {
-			ft = tr.force()
-		} else {
-			ft = tr.sample()
-		}
-		if ft != nil {
-			ft.spans[0].enq = tr.now()
-			f.trace = ft
-		}
-	}
 	// Copy Seq before the handoff: once put, the consumer may deliver
 	// and Free the frame (returning it to the pool) at any moment.
 	seq := f.Seq
@@ -448,8 +403,7 @@ func (r *Run) submitChecked(data []byte, epoch int, tag any, force bool) (uint64
 	return seq, nil
 }
 
-// Closed reports whether Close has been called on this run. Health
-// endpoints use it to tell "draining" from "accepting".
+// Closed reports whether Close has been called on this run.
 func (r *Run) Closed() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

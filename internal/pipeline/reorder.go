@@ -11,7 +11,7 @@ import (
 // an out-of-order burst. Here the delivery path fans out by Seq modulo
 // the shard count: the last stage's workers scatter frames onto
 // per-shard rings and each shard's sequencer folds the per-frame
-// delivery stats (latency, end-to-end histogram, lifecycle traces) in
+// delivery stats (latency, end-to-end histogram) in
 // parallel before funneling into the selector, which restores dense Seq
 // order through a power-of-two circular window — O(1) slab-reusing
 // insert/release per frame, no map.
@@ -77,17 +77,13 @@ func (r *Run) sequencer(src, merged *frameRing, wg *sync.WaitGroup) {
 }
 
 // finish folds one frame's delivery stats: submit-to-sink latency into
-// the pipeline's Total histogram and any sampled lifecycle trace into
-// the tracer. Runs on the frame's shard sequencer, so shards fold stats
-// in parallel. Frames injected past Submit carry no submit timestamp and
+// the pipeline's Total histogram. Runs on the frame's shard sequencer,
+// so shards fold stats in parallel. Frames injected past Submit carry no submit timestamp and
 // keep Latency 0.
 func (r *Run) finish(f *Frame) {
 	if !f.submitted.IsZero() {
 		f.Latency = time.Since(f.submitted)
 		r.p.Total.Observe(f.Latency)
-	}
-	if f.trace != nil {
-		r.p.tracer.complete(f)
 	}
 }
 

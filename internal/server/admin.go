@@ -13,9 +13,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// RegisterMetrics registers the server ledger, the shared pipeline's
-// stage/trace instruments and the process-wide GF kernel tier counters
-// with reg. Call once per server per registry.
+// RegisterMetrics registers the server ledger, the worker pool's
+// codec-dispatch stage instruments and the process-wide GF kernel tier
+// counters with reg. Call once per server per registry.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("gfp_server_connections_accepted_total",
 		"Client connections accepted.", s.ctr.connsAccepted.Load)
@@ -74,17 +74,22 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	}
 	s.cfg.SLO.RegisterMetrics(reg)
 
-	s.pl.RegisterMetrics(reg)
+	pipeline.RegisterStageMetrics(reg, &s.stage, s.stage.Name)
+	reg.HistogramFunc("gfp_pipeline_stage_queue_wait_seconds",
+		"Time requests spent queued for a worker before the stage.",
+		&s.queueWait, obs.L("stage", s.stage.Name))
+	reg.HistogramFunc("gfp_pipeline_latency_seconds",
+		"Request latency from submission to the worker pool to the response routed to its connection.",
+		&s.total)
 	pipeline.RegisterGFKernelMetrics(reg)
 }
 
 // Healthy reports nil while the server is accepting and processing:
-// Serve has been called, Shutdown has not, the shared pipeline still
-// takes frames, and the once-per-process datapath self-test (see
-// SelfTest) has passed — a backend whose kernel tables disagree with
-// the scalar reference never reports healthy, so a routing front door
-// ejects it instead of spreading wrong math. /healthz maps nil to 200
-// and an error to 503.
+// Serve has been called, Shutdown has not, and the once-per-process
+// datapath self-test (see SelfTest) has passed — a backend whose kernel
+// tables disagree with the scalar reference never reports healthy, so a
+// routing front door ejects it instead of spreading wrong math.
+// /healthz maps nil to 200 and an error to 503.
 func (s *Server) Healthy() error {
 	s.mu.Lock()
 	serving, draining := s.serving, s.draining
@@ -94,8 +99,6 @@ func (s *Server) Healthy() error {
 		return errors.New("draining")
 	case !serving:
 		return errors.New("not serving")
-	case s.run.Closed():
-		return errors.New("pipeline closed")
 	}
 	if st := s.startupSelfTest(); !st.OK {
 		return fmt.Errorf("datapath selftest failed: %s", st.Error)
@@ -103,21 +106,15 @@ func (s *Server) Healthy() error {
 	return nil
 }
 
-// Tracer returns the shared pipeline's frame tracer, or nil when
-// Config.TraceEvery was 0.
-func (s *Server) Tracer() *pipeline.Tracer { return s.pl.Tracer() }
-
 // Statsz is the /statsz payload: the GFP1 stats-op snapshot plus the
-// full metrics registry, the static GF kernel-tier selections
-// (which implementation tier serves each (field, op) at which lengths)
-// and the slowest traced frames — a superset of what the wire
-// protocol's OpStats returns.
+// full metrics registry, the static GF kernel-tier selections (which
+// implementation tier serves each (field, op) at which lengths) and the
+// SLO status — a superset of what the wire protocol's OpStats returns.
 type Statsz struct {
 	*StatsSnapshot
-	Metrics          []obs.Metric          `json:"metrics"`
-	KernelSelections []gf.TierSelection    `json:"kernel_selections,omitempty"`
-	Traces           []pipeline.FrameTrace `json:"traces,omitempty"`
-	SLO              []obs.SLOStatus       `json:"slo,omitempty"`
+	Metrics          []obs.Metric       `json:"metrics"`
+	KernelSelections []gf.TierSelection `json:"kernel_selections,omitempty"`
+	SLO              []obs.SLOStatus    `json:"slo,omitempty"`
 }
 
 // TraceSnap captures the server's distributed-trace span ring — the
@@ -146,9 +143,6 @@ func (s *Server) AdminHandler(reg *obs.Registry) http.Handler {
 			Metrics:          reg.Gather(),
 			KernelSelections: gf.Selections(),
 			SLO:              s.cfg.SLO.Snapshot(),
-		}
-		if t := s.Tracer(); t != nil {
-			sz.Traces = t.Dump()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

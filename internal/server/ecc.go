@@ -1,9 +1,9 @@
 package server
 
 // The binary-field ECC service: ecdh-derive, ecdsa-sign, ecdsa-verify
-// and the secure-session handshake, riding the same shared pipeline as
-// the RS and AES-GCM ops (op in Frame.Epoch, one window slot per
-// request, same exact ledger). Each worker clones the ecc.Engine, so
+// and the secure-session handshake, served by the same worker pool as
+// the RS and AES-GCM ops (one window slot per request, same exact
+// ledger). Each worker clones the ecc.Engine, so
 // the steady-state derive/sign paths run allocation-free on top of the
 // gfbig scratch layer.
 //
@@ -38,7 +38,7 @@ const CurveOff = "off"
 const MaxSessionChallenge = 256
 
 // eccService is the server's ECC state: the engine prototype every
-// pipeline worker clones, plus the op counters and latency histograms
+// worker clones, plus the op counters and latency histograms
 // surfaced through /statsz and /metrics.
 type eccService struct {
 	eng          *ecc.Engine
@@ -158,7 +158,7 @@ func (svc *eccService) info() *ECCInfo {
 
 // validateECC length-checks one ECC request against the engine's wire
 // widths, returning a rejection message ("" accepts). Semantic checks
-// (on-curve, verification) stay in the pipeline stage; handle() only
+// (on-curve, verification) stay in the dispatch stage; handle() only
 // guards framing so a malformed request never occupies a worker.
 func (svc *eccService) validateECC(op Op, payloadLen int) string {
 	pb, ob := svc.eng.PointBytes(), svc.eng.OrderBytes()

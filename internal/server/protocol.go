@@ -1,9 +1,9 @@
-// Package server exposes the repository's codec pipeline as a network
-// service: a concurrent TCP server speaking a length-prefixed binary
-// protocol whose requests (RS encode/decode, AES-GCM seal/open, stats,
-// binary-field ECDH/ECDSA and the secure-session handshake)
-// are multiplexed from many connections into one shared
-// pipeline.Pipeline and routed back by request id — the system-level
+// Package server exposes the repository's codecs as a network service:
+// a concurrent TCP server speaking a length-prefixed binary protocol
+// whose requests (RS encode/decode, AES-GCM seal/open, stats,
+// binary-field ECDH/ECDSA and the secure-session handshake) are
+// multiplexed from many connections onto one shared worker pool and
+// routed back by request id, in completion order — the system-level
 // serving layer over the paper's GF protection engine.
 //
 // # Wire format
@@ -171,9 +171,9 @@ const (
 
 // RetrySafe reports whether a response with this status guarantees the
 // request was never processed, making a retry safe for any op — even the
-// non-idempotent ones. A draining backend rejects before touching the
-// pipeline, so a proxy can replay the request elsewhere without risking
-// nonce reuse.
+// non-idempotent ones. A backend sending it rejected the request before
+// any worker touched it, so a proxy can replay the request elsewhere
+// without risking nonce reuse.
 func (s Status) RetrySafe() bool { return s == StatusShuttingDown }
 
 // String implements fmt.Stringer.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,11 +39,12 @@ type Config struct {
 	// Batch is the maximum number of interleaver frames a single RS
 	// request may pack (its payload then being a multiple of the frame
 	// unit, up to Batch units). 1 (the default) keeps the strict
-	// one-frame-per-request contract; each request is still one pipeline
-	// frame and one window slot regardless of its width.
+	// one-frame-per-request contract; each request is still one unit of
+	// work and one window slot regardless of its width.
 	Batch int
-	// Workers and Queue size the shared pipeline (see pipeline.Config).
-	Workers, Queue int
+	// Workers is the size of the worker pool every connection's requests
+	// share (0 = runtime.GOMAXPROCS(0)).
+	Workers int
 	// Key is the AES key for the seal/open ops (empty selects a
 	// well-known demo key). AAD is bound into every tag (may be nil).
 	Key, AAD []byte
@@ -63,19 +65,12 @@ type Config struct {
 	// (0 = no limit). WriteTimeout bounds each response write (0 = no
 	// limit).
 	ReadTimeout, WriteTimeout time.Duration
-	// TraceEvery sets background frame-lifecycle sampling on the shared
-	// pipeline: one in every TraceEvery frames is traced (1 = all,
-	// 0 = background sampling effectively off — request-scoped
-	// distributed traces still record per-stage spans). TraceSlowest is
-	// how many of the slowest traces are retained for the /statsz dump
-	// (0 = 16).
-	TraceEvery, TraceSlowest int
 	// TraceRing caps the distributed-trace span ring served at /tracez
 	// (0 = trace.DefaultRingSize). Spans are recorded only for requests
 	// arriving with a sampled trace context, so the ring costs nothing
 	// under untraced load.
 	TraceRing int
-	// SLO, when non-nil, receives every pipeline-served request's
+	// SLO, when non-nil, receives every worker-served request's
 	// end-to-end latency keyed by (op, tenant) — tenant being the
 	// client's remote host — for error-budget accounting (obs.NewSLO).
 	SLO *obs.SLO
@@ -108,16 +103,18 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
+	if c.Workers == 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	return c
 }
 
 // Server is the network-facing codec service. Construct with New, run
 // with Serve (or ListenAndServe), stop with Shutdown.
 type Server struct {
-	cfg Config
-	iv  *rs.Interleaved
-	pl  *pipeline.Pipeline
-	run *pipeline.Run
+	cfg  Config
+	iv   *rs.Interleaved
+	work chan *pendingReq // validated requests, consumed by the worker pool
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -125,10 +122,14 @@ type Server struct {
 	draining bool
 	serving  bool
 
-	readerWG     sync.WaitGroup // connection read loops
-	writerWG     sync.WaitGroup // connection write loops
-	inflight     sync.WaitGroup // frames submitted but not yet routed
-	dispatchDone chan struct{}
+	readerWG sync.WaitGroup // connection read loops
+	writerWG sync.WaitGroup // connection write loops
+	workerWG sync.WaitGroup // worker pool
+	inflight sync.WaitGroup // requests submitted but not yet routed
+
+	stage     pipeline.StageStats // the workers' codec-dispatch stage
+	queueWait perf.Hist           // submitted -> a worker picked it up
+	total     perf.Hist           // submitted -> response routed
 
 	st  selftest
 	ctr counters
@@ -144,42 +145,34 @@ type Server struct {
 // protocol constants (1..9), indexed directly.
 const opLatSlots = 10
 
-// pendingReq rides pipeline.Frame.Tag from submission to delivery: the
-// connection and request id a completed frame's response belongs to,
-// plus the request's trace context and hop timestamps, closed out by
-// finishRequest when the response hits (or misses) the wire.
+// pendingReq is one validated request on its way through the worker
+// pool: the connection and request id its response belongs to, the op
+// and the frame it runs on, plus the request's trace context and hop
+// timestamps, closed out by finishRequest when the response hits (or
+// misses) the wire. Each stage of the trip hands it on over a channel,
+// which orders the unsynchronized writes.
 type pendingReq struct {
 	c  *conn
 	op Op
 	id uint64
+	f  pipeline.Frame
 
 	tc   trace.Context // zero when the request carried no trace context
 	span uint64        // this hop's request-span id (sampled requests only)
 
 	read      time.Time // request framed off the socket
-	submitted time.Time // frame entered the shared pipeline
-	routed    time.Time // response routed to the connection's write queue
-
-	ft    pipeline.FrameTrace // per-stage lifecycle (sampled requests only)
-	hasFT bool
+	submitted time.Time // handed to the worker pool
+	started   time.Time // a worker picked it up
+	routed    time.Time // op done, response routed to the connection's write queue
 }
 
-// TraceWanted and ObserveTrace implement pipeline.TraceObserver: the
-// reorder sink hands a sampled frame's materialized stage record to its
-// pendingReq before delivery, and finishRequest later turns it into
-// stage spans. The unsynchronized fields are safe: ObserveTrace runs
-// before the frame reaches Run.Out, which happens before dispatch
-// routes the response to the write loop — channel handoffs order both.
-func (pr *pendingReq) TraceWanted() bool { return pr.tc.Sampled }
-
-// ObserveTrace retains the stage record for span recording.
-func (pr *pendingReq) ObserveTrace(ft pipeline.FrameTrace) { pr.ft, pr.hasFT = ft, true }
-
-// New builds the server: codec instances, the shared pipeline (one
-// dispatch stage fanned out over Workers goroutines), and a started run
-// ready to accept frames.
+// New builds the server: codec instances and a started pool of Workers
+// goroutines, each with its own dispatch-stage instance.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("server: negative worker count %d", cfg.Workers)
+	}
 	if cfg.N <= 0 || cfg.K <= 0 {
 		return nil, fmt.Errorf("server: non-positive code parameters n=%d k=%d", cfg.N, cfg.K)
 	}
@@ -223,32 +216,21 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	disp := &dispatchStage{enc: enc, dec: dec, gcm: cipher.NewGCM(), aad: cfg.AAD, ecc: eccSvc}
-	pl, err := pipeline.New(pipeline.Config{Workers: cfg.Workers, Queue: cfg.Queue, Batch: cfg.Batch}, disp)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.TraceEvery > 0 {
-		pl.EnableTracing(pipeline.TraceConfig{SampleEvery: cfg.TraceEvery, Slowest: cfg.TraceSlowest})
-	} else {
-		// Background frame sampling is off, but the tracer must still
-		// exist: request-scoped distributed traces force a per-stage
-		// record through it regardless of the 1/N tick, and without one a
-		// traced request would lose its pipeline-stage spans. A ~1e9
-		// period keeps the background path effectively dark (one atomic
-		// increment per frame, no allocation).
-		pl.EnableTracing(pipeline.TraceConfig{SampleEvery: 1 << 30, Slowest: cfg.TraceSlowest})
-	}
 	s := &Server{
-		cfg:          cfg,
-		iv:           iv,
-		pl:           pl,
-		run:          pl.Start(),
-		conns:        make(map[*conn]struct{}),
-		dispatchDone: make(chan struct{}),
-		ecc:          eccSvc,
-		spans:        trace.NewRing(cfg.TraceRing),
+		cfg: cfg,
+		iv:  iv,
+		// 2×Workers: a worker finishing one request finds the next
+		// already queued, and readers block (backpressure) past that.
+		work:  make(chan *pendingReq, 2*cfg.Workers),
+		conns: make(map[*conn]struct{}),
+		stage: pipeline.StageStats{Name: disp.Name()},
+		ecc:   eccSvc,
+		spans: trace.NewRing(cfg.TraceRing),
 	}
-	go s.dispatch()
+	s.workerWG.Add(cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		go s.worker(disp.ForWorker(w))
+	}
 	return s, nil
 }
 
@@ -356,43 +338,36 @@ func (s *Server) removeConn(c *conn) {
 	s.ctr.connsActive.Add(-1)
 }
 
-// dispatch is the single response router: it consumes delivered frames
-// from the shared run and hands each response to its connection's write
-// queue. The per-connection window guarantees the queue has room, so
-// dispatch never blocks on a slow client — it drops the response only
-// when the connection has already died.
-func (s *Server) dispatch() {
-	defer close(s.dispatchDone)
-	for f := range s.run.Out() {
-		pr, ok := f.Tag.(*pendingReq)
-		if !ok { // not ours; nothing to route
-			f.Recycle()
-			continue
-		}
+// worker runs requests off the shared queue on its own dispatch-stage
+// instance, in whatever order they complete, and hands each response
+// straight to its connection's write queue. The per-connection window
+// guarantees the queue has room, so a worker never blocks on a slow
+// client — it drops the response only when the connection has already
+// died.
+func (s *Server) worker(d *dispatchStage) {
+	defer s.workerWG.Done()
+	for pr := range s.work {
+		pr.started = time.Now()
+		s.queueWait.Observe(pr.started.Sub(pr.submitted))
+		d.op = pr.op
+		pipeline.RunStage(d, &s.stage, &pr.f)
 		pr.routed = time.Now()
-		var om outMsg
-		if f.Err != nil {
-			payload := []byte(f.Err.Error())
-			f.Recycle()
-			om = outMsg{m: &Message{Op: pr.op, Status: StatusCodecFailed, ID: pr.id, Payload: payload}, pr: pr}
-		} else {
-			// The response references the frame's (pool-backed) payload;
-			// the writer recycles it after the bytes hit the socket.
-			om = outMsg{m: &Message{Op: pr.op, ID: pr.id, Payload: f.Data}, f: f, pr: pr}
+		s.total.Observe(pr.routed.Sub(pr.submitted))
+		// An OK response references the frame's (pool-backed) payload;
+		// the writer recycles it after the bytes hit the socket.
+		m := &Message{Op: pr.op, ID: pr.id, Payload: pr.f.Data}
+		if err := pr.f.Err; err != nil {
+			m.Status, m.Payload = StatusCodecFailed, []byte(err.Error())
 		}
-		switch pr.c.route(om) {
+		switch pr.c.route(outMsg{m: m, pr: pr}) {
 		case routeOK:
 		case routeClosed:
-			if om.f != nil {
-				om.f.Recycle()
-			}
+			pr.f.Recycle()
 			s.ctr.settle(&s.ctr.dropped)
 		case routeFull:
 			// Window invariant broken — should be impossible. Kill the
 			// connection rather than stall every other client.
-			if om.f != nil {
-				om.f.Recycle()
-			}
+			pr.f.Recycle()
 			s.ctr.settle(&s.ctr.dropped)
 			s.logf("server: write queue overflow on %v (window invariant)", pr.c.nc.RemoteAddr())
 			pr.c.fail()
@@ -403,9 +378,10 @@ func (s *Server) dispatch() {
 
 // Shutdown gracefully stops the server: it stops accepting, lets every
 // connection finish reading its current request, drains all in-flight
-// frames through the pipeline, flushes every pending response, then
+// requests through the workers, flushes every pending response, then
 // closes the connections and returns. If ctx expires first, remaining
-// connections are closed immediately and ctx.Err() is returned.
+// connections are closed immediately and ctx.Err() is returned; the
+// workers still stop once the last reader has exited.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -426,10 +402,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.readerWG.Wait()   // no more submissions
-		s.inflight.Wait()   // every submitted frame routed to a write queue
-		s.run.Close()       // idempotent; lets the dispatcher exit
-		<-s.dispatchDone    //
+		s.readerWG.Wait()   // no more submissions: readers are the only senders on work
+		s.inflight.Wait()   // every submitted request routed to a write queue
+		close(s.work)       // lets the workers exit
+		s.workerWG.Wait()   //
 		s.closeConnsDrain() // writers flush their queues and close
 		s.writerWG.Wait()
 	}()
@@ -442,7 +418,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			c.fail()
 		}
 		s.mu.Unlock()
-		s.run.Close()
 		return ctx.Err()
 	}
 }
@@ -479,17 +454,15 @@ func (s *Server) armRead(c *conn) bool {
 	return true
 }
 
-// outMsg is one queued response. f, when non-nil, is the pipeline frame
-// whose pooled payload backs m.Payload; the writer recycles it once the
-// message is on the wire. pr, when non-nil, is the pipeline-served
-// request this response answers; the write loop closes its
-// observability books (latency, SLO, spans, wide event) at the
-// terminal. unled marks replies outside the request ledger
-// (protocol-error reports, which never had a request counted), so the
-// terminal accounting in write/drop paths skips them.
+// outMsg is one queued response. pr, when non-nil, is the worker-served
+// request this response answers: its frame's pooled payload may back
+// m.Payload, so the writer recycles the frame once the message is on
+// the wire, and closes the request's observability books (latency,
+// SLO, spans, wide event) at the terminal. unled marks replies outside
+// the request ledger (protocol-error reports, which never had a request
+// counted), so the terminal accounting in write/drop paths skips them.
 type outMsg struct {
 	m     *Message
-	f     *pipeline.Frame
 	pr    *pendingReq
 	unled bool
 }
@@ -511,7 +484,7 @@ type conn struct {
 	lameOnce sync.Once
 	broken   bool // write side failed; set only by the write loop
 
-	// wqMu/wqClosed serialize dispatcher routing against write-loop
+	// wqMu/wqClosed serialize worker routing against write-loop
 	// teardown: once the writer abandons the queue it flips wqClosed, so
 	// a response can never be enqueued after the final drain and leak
 	// unaccounted.
@@ -528,7 +501,7 @@ const (
 	routeFull               // queue full — the window invariant is broken
 )
 
-// route enqueues a dispatcher response, never blocking.
+// route enqueues a response, never blocking.
 func (c *conn) route(om outMsg) routeResult {
 	c.wqMu.Lock()
 	defer c.wqMu.Unlock()
@@ -553,7 +526,7 @@ func (c *conn) closeWriteq() {
 
 // fail tears the connection down: the write loop exits (dropping queued
 // responses), its deferred close unblocks the read loop, and the
-// dispatcher drops any still-in-flight responses for this connection.
+// workers drop any still-in-flight responses for this connection.
 func (c *conn) fail() {
 	c.failOnce.Do(func() { close(c.dead) })
 }
@@ -636,6 +609,7 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 			Payload: []byte(fmt.Sprintf(format, args...))}})
 	}
 	iv := c.s.iv
+	data := m.Payload
 	switch m.Op {
 	case OpStats:
 		payload, err := json.Marshal(c.s.Snapshot())
@@ -648,13 +622,11 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 			return reject(StatusBadRequest, "rs-encode payload %dB, want %s of k×depth = %dB",
 				len(m.Payload), why, iv.FrameK())
 		}
-		return c.submit(m, m.Payload, tc, readAt)
 	case OpRSDecode:
 		if bad, why := c.badRSLen(len(m.Payload), iv.FrameN()); bad {
 			return reject(StatusBadRequest, "rs-decode payload %dB, want %s of n×depth = %dB",
 				len(m.Payload), why, iv.FrameN())
 		}
-		return c.submit(m, m.Payload, tc, readAt)
 	case OpSeal, OpOpen:
 		if len(m.Params) != NonceSize {
 			return reject(StatusBadRequest, "%v params %dB, want %d-byte nonce",
@@ -665,10 +637,9 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 				len(m.Payload))
 		}
 		// The frame carries nonce‖body; the dispatch stage splits them.
-		data := make([]byte, NonceSize+len(m.Payload))
+		data = make([]byte, NonceSize+len(m.Payload))
 		copy(data, m.Params)
 		copy(data[NonceSize:], m.Payload)
-		return c.submit(m, data, tc, readAt)
 	case OpECDHDerive, OpECDSASign, OpECDSAVerify, OpSecureSession:
 		svc := c.s.ecc
 		if svc == nil {
@@ -677,10 +648,11 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 		if why := svc.validateECC(m.Op, len(m.Payload)); why != "" {
 			return reject(StatusBadRequest, "%s", why)
 		}
-		return c.submit(m, m.Payload, tc, readAt)
 	default:
 		return reject(StatusUnsupported, "unknown op %d", uint8(m.Op))
 	}
+	c.submit(m, data, tc, readAt)
+	return true
 }
 
 // badRSLen validates an RS request payload length against the frame
@@ -695,29 +667,22 @@ func (c *conn) badRSLen(n, unit int) (bad bool, why string) {
 	return n != unit, "exactly 1×"
 }
 
-// submit pushes one request into the shared pipeline, tagged with its
-// op (as the frame epoch) and routing state. A sampled trace context
-// mints this hop's request-span id and force-samples the frame so the
-// pipeline records its per-stage lifecycle.
-func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Time) bool {
+// submit hands one request to the worker pool, blocking while the
+// queue is full (backpressure shared by every connection). A sampled
+// trace context mints this hop's request-span id.
+func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Time) {
 	pr := &pendingReq{c: c, op: m.Op, id: m.ID, tc: tc, read: readAt}
+	pr.f.Data = data
 	if tc.Sampled {
 		pr.span = trace.NewID()
 	}
-	pr.submitted = time.Now()
 	c.s.inflight.Add(1)
-	_, err := c.s.run.SubmitTracedChecked(data, int(m.Op), pr, tc.Sampled)
-	if err != nil {
-		c.s.inflight.Done()
-		c.send(outMsg{m: &Message{Op: m.Op, Status: StatusShuttingDown, ID: m.ID,
-			Payload: []byte("server draining")}})
-		return false
-	}
-	return true
+	pr.submitted = time.Now()
+	c.s.work <- pr
 }
 
 // send enqueues a reader-originated response (stats, rejections)
-// through the same routing gate the dispatcher uses. The window slot
+// through the same routing gate the workers use. The window slot
 // the reader holds guarantees queue room, so the full-queue retry is a
 // safety net, not a steady state. Returns false once the connection is
 // dead.
@@ -732,10 +697,12 @@ func (c *conn) send(om outMsg) bool {
 			}
 			return false
 		case routeFull:
+			retry := time.NewTimer(time.Millisecond) // stopped below, unlike time.After
 			select {
 			case <-c.dead: // writer is tearing down; next route sees closed
-			case <-time.After(time.Millisecond):
+			case <-retry.C:
 			}
+			retry.Stop()
 		}
 	}
 }
@@ -756,7 +723,7 @@ func (c *conn) writeLoop() {
 			c.drainRecycle()
 			return
 		case <-c.lame:
-			// Poisoned stream: bar further routing (late dispatcher
+			// Poisoned stream: bar further routing (late worker
 			// responses are counted dropped at the route gate), write out
 			// what is already queued — the framing-error reply — and close.
 			c.closeWriteq()
@@ -791,8 +758,8 @@ func (c *conn) drainRecycle() {
 	for {
 		select {
 		case om := <-c.writeq:
-			if om.f != nil {
-				om.f.Recycle()
+			if om.pr != nil {
+				om.pr.f.Recycle()
 			}
 			c.account(om, false)
 		default:
@@ -846,9 +813,7 @@ func (c *conn) write(om outMsg) {
 	c.account(om, written)
 	if om.pr != nil {
 		c.s.finishRequest(c, om, written)
-	}
-	if om.f != nil {
-		om.f.Recycle()
+		om.pr.f.Recycle()
 	}
 	select {
 	case <-c.sem:
@@ -856,10 +821,10 @@ func (c *conn) write(om outMsg) {
 	}
 }
 
-// finishRequest closes the observability books on one pipeline-served
+// finishRequest closes the observability books on one worker-served
 // request at its terminal point in the write loop: per-op latency (with
 // a trace exemplar), SLO accounting, span recording and the wide event.
-// Reader-path replies (stats, rejections) never reach the pipeline and
+// Reader-path replies (stats, rejections) never reach the workers and
 // are deliberately excluded — the latency ledger measures the datapath.
 func (s *Server) finishRequest(c *conn, om outMsg, written bool) {
 	pr := om.pr
@@ -880,9 +845,9 @@ func (s *Server) finishRequest(c *conn, om outMsg, written bool) {
 
 // recordSpans turns one traced request's hop timestamps into spans on
 // the /tracez ring: the request envelope (read to response written),
-// admission (window wait and validation before the pipeline accepted
-// the frame), the per-stage pipeline lifecycle, and write-back
-// (response routed to written).
+// admission (window wait and validation before the worker pool accepted
+// the request), the dispatch stage (queued to done, split into queue
+// wait and service), and write-back (response routed to written).
 func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, now time.Time) {
 	traceID := trace.FormatID(pr.tc.Trace)
 	reqID := trace.FormatID(pr.span)
@@ -909,26 +874,15 @@ func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, n
 		Service: "gfserved", Name: "admission", Op: pr.op.String(),
 		StartUnixNs: pr.read.UnixNano(), DurNs: pr.submitted.Sub(pr.read).Nanoseconds(),
 	})
-	if pr.hasFT {
-		if t := s.pl.Tracer(); t != nil {
-			base := t.Base()
-			for _, ss := range pr.ft.Spans {
-				if ss.EnqNs == 0 || ss.FinNs == 0 {
-					continue
-				}
-				s.spans.Add(trace.Span{
-					Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
-					Service: "gfserved", Name: "stage:" + ss.Stage, Op: pr.op.String(),
-					StartUnixNs: base.Add(time.Duration(ss.EnqNs)).UnixNano(),
-					DurNs:       ss.FinNs - ss.EnqNs,
-					Attrs: map[string]string{
-						"queue_wait_ns": strconv.FormatInt(ss.QueueWaitNs, 10),
-						"service_ns":    strconv.FormatInt(ss.ServiceNs, 10),
-					},
-				})
-			}
-		}
-	}
+	s.spans.Add(trace.Span{
+		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
+		Service: "gfserved", Name: "stage:" + s.stage.Name, Op: pr.op.String(),
+		StartUnixNs: pr.submitted.UnixNano(), DurNs: pr.routed.Sub(pr.submitted).Nanoseconds(),
+		Attrs: map[string]string{
+			"queue_wait_ns": strconv.FormatInt(pr.started.Sub(pr.submitted).Nanoseconds(), 10),
+			"service_ns":    strconv.FormatInt(pr.routed.Sub(pr.started).Nanoseconds(), 10),
+		},
+	})
 	wb := trace.Span{
 		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
 		Service: "gfserved", Name: "write-back", Op: pr.op.String(),

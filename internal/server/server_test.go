@@ -542,3 +542,60 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletionOrder: responses leave in completion order, not submit
+// order. On one connection with two workers, an rs-encode sent right
+// behind an ecdsa-verify runs on the second worker and is answered
+// while the verify is still computing. A loaded host can leave the
+// second worker unscheduled for a whole verify, so the pair is sent up
+// to five times and one out-of-order answer passes; a server that
+// releases responses in submit order never produces one.
+func TestCompletionOrder(t *testing.T) {
+	s, addr := startServer(t, Config{N: 255, K: 239, Depth: 1, Workers: 2})
+	c := dialT(t, addr)
+	_, pub := serverPublic(t, c)
+	digest := make([]byte, 32)
+	sig, err := c.ECDSASign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := append(append(append([]byte(nil), pub...), sig...), digest...)
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	var orders [][]uint64
+	for id := uint64(1); len(orders) < 5; id += 2 {
+		var buf bytes.Buffer
+		for _, m := range []*Message{
+			{Op: OpECDSAVerify, ID: id, Payload: verify},
+			{Op: OpRSEncode, ID: id + 1, Payload: make([]byte, s.Code().FrameK())},
+		} {
+			if err := writeMessage(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := nc.Write(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		var order []uint64
+		for range 2 {
+			m, err := readMessage(nc, DefaultMaxPayload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Status != StatusOK {
+				t.Fatalf("%v id %d: status %v: %s", m.Op, m.ID, m.Status, m.Payload)
+			}
+			order = append(order, m.ID)
+		}
+		if order[0] == id+1 {
+			return
+		}
+		orders = append(orders, order)
+	}
+	t.Errorf("every rs-encode waited behind the ecdsa-verify submitted before it; response ids %v", orders)
+}

@@ -10,28 +10,30 @@ import (
 	"repro/internal/pipeline"
 )
 
-// dispatchStage is the single stage of the server's shared pipeline: it
-// routes each frame to the codec op encoded in Frame.Epoch. Multiplexing
-// every op through one stage (instead of one pipeline per op) keeps a
-// single worker pool hot regardless of the op mix.
+// dispatchStage is the one stage every server worker runs: it routes
+// each frame to the codec op of the request in hand. Multiplexing every
+// op through one stage (instead of one pool per op) keeps a single
+// worker pool hot regardless of the op mix.
 //
-// It implements pipeline.WorkerLocal so each worker gets private RS
-// scratch (the underlying RS stages are WorkerLocal) and its own clone
-// of the ECC engine; the GCM instance is immutable after construction
-// and shared, as are the eccService counters (atomics).
+// Each worker holds its own instance (ForWorker), with private RS
+// scratch (the underlying RS stages are WorkerLocal), its own clone of
+// the ECC engine and the op it is serving; the GCM instance is
+// immutable after construction and shared, as are the eccService
+// counters (atomics).
 type dispatchStage struct {
 	enc, dec pipeline.Stage
 	gcm      *aes.GCM
 	aad      []byte
 	ecc      *eccService // nil when the ECC ops are disabled
 	eccEng   *ecc.Engine // this worker's engine clone
+	op       Op          // the op of the request this worker is serving
 }
 
 // Name implements pipeline.Stage.
 func (d *dispatchStage) Name() string { return "codec-dispatch" }
 
-// ForWorker implements pipeline.WorkerLocal.
-func (d *dispatchStage) ForWorker(w int) pipeline.Stage {
+// ForWorker returns worker w's private instance.
+func (d *dispatchStage) ForWorker(w int) *dispatchStage {
 	cp := *d
 	if wl, ok := d.enc.(pipeline.WorkerLocal); ok {
 		cp.enc = wl.ForWorker(w)
@@ -45,12 +47,12 @@ func (d *dispatchStage) ForWorker(w int) pipeline.Stage {
 	return &cp
 }
 
-// Process implements pipeline.Stage. Seal/open frames carry nonce‖body
-// (the nonce is client-chosen so the peer can reconstruct it; the
-// server is a codec, not a key manager — nonce uniqueness is the
-// client's contract, as with any GCM API).
+// Process implements pipeline.Stage, running d.op on f. Seal/open
+// frames carry nonce‖body (the nonce is client-chosen so the peer can
+// reconstruct it; the server is a codec, not a key manager — nonce
+// uniqueness is the client's contract, as with any GCM API).
 func (d *dispatchStage) Process(f *pipeline.Frame) error {
-	switch Op(f.Epoch) {
+	switch d.op {
 	case OpRSEncode:
 		return d.enc.Process(f)
 	case OpRSDecode:
@@ -71,11 +73,11 @@ func (d *dispatchStage) Process(f *pipeline.Frame) error {
 		return nil
 	case OpECDHDerive, OpECDSASign, OpECDSAVerify, OpSecureSession:
 		if d.eccEng == nil {
-			return fmt.Errorf("server: ecc op %v with ecc disabled", Op(f.Epoch))
+			return fmt.Errorf("server: ecc op %v with ecc disabled", d.op)
 		}
 		return d.processECC(f)
 	default:
-		return fmt.Errorf("server: unroutable op %d", f.Epoch)
+		return fmt.Errorf("server: unroutable op %d", uint8(d.op))
 	}
 }
 
@@ -86,7 +88,7 @@ func (d *dispatchStage) Process(f *pipeline.Frame) error {
 // keeps the steady-state request allocation-free at the engine layer.
 func (d *dispatchStage) processECC(f *pipeline.Frame) error {
 	svc, e := d.ecc, d.eccEng
-	switch Op(f.Epoch) {
+	switch d.op {
 	case OpECDHDerive:
 		start := time.Now()
 		out, err := e.Derive(f.Data[:0], f.Data)

@@ -121,7 +121,7 @@ type ConfigInfo struct {
 	FrameN     int `json:"frame_n"`
 	Batch      int `json:"batch"`
 	Workers    int `json:"workers"`
-	Queue      int `json:"queue"`
+	Queue      int `json:"queue"` // worker-pool queue capacity (2×workers)
 	Window     int `json:"window"`
 	MaxPayload int `json:"max_payload"`
 	// ECC describes the binary-field ECC service (nil when disabled), so
@@ -129,7 +129,7 @@ type ConfigInfo struct {
 	ECC *ECCInfo `json:"ecc,omitempty"`
 }
 
-// StageSnapshot is one pipeline stage's statistics at snapshot time.
+// StageSnapshot is one stage's statistics at snapshot time.
 type StageSnapshot struct {
 	Name      string           `json:"name"`
 	Frames    int64            `json:"frames"`
@@ -148,30 +148,21 @@ type StatsSnapshot struct {
 	Config     ConfigInfo       `json:"config"`
 	Server     Counters         `json:"server"`
 	Stages     []StageSnapshot  `json:"stages"`
-	Total      perf.HistSummary `json:"total"` // pipeline submit-to-delivery latency
+	Total      perf.HistSummary `json:"total"` // submit-to-routed latency
 }
 
-// Snapshot captures the live server and pipeline statistics.
+// Snapshot captures the live server and worker-pool statistics.
 func (s *Server) Snapshot() *StatsSnapshot {
-	pcfg := s.pl.Config()
+	st := &s.stage
 	snap := &StatsSnapshot{
 		Config: ConfigInfo{
 			N: s.cfg.N, K: s.cfg.K, Depth: s.cfg.Depth,
 			FrameK: s.iv.FrameK(), FrameN: s.iv.FrameN(), Batch: s.cfg.Batch,
-			Workers: pcfg.Workers, Queue: pcfg.Queue,
+			Workers: s.cfg.Workers, Queue: cap(s.work),
 			Window: s.cfg.Window, MaxPayload: s.cfg.MaxPayload,
 		},
 		Server: s.ctr.snapshot(),
-		Total:  s.pl.Total.Summary(),
-	}
-	if s.ecc != nil {
-		snap.Config.ECC = s.ecc.info()
-	}
-	if a := s.Addr(); a != nil {
-		snap.ListenAddr = a.String()
-	}
-	for _, st := range s.pl.Stats() {
-		snap.Stages = append(snap.Stages, StageSnapshot{
+		Stages: []StageSnapshot{{
 			Name:      st.Name,
 			Frames:    st.Frames.Load(),
 			Errors:    st.Errors.Load(),
@@ -179,7 +170,14 @@ func (s *Server) Snapshot() *StatsSnapshot {
 			BytesOut:  st.BytesOut.Load(),
 			Corrected: st.Corrected.Load(),
 			Latency:   st.Latency.Summary(),
-		})
+		}},
+		Total: s.total.Summary(),
+	}
+	if s.ecc != nil {
+		snap.Config.ECC = s.ecc.info()
+	}
+	if a := s.Addr(); a != nil {
+		snap.ListenAddr = a.String()
 	}
 	return snap
 }
