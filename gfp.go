@@ -215,8 +215,9 @@ type ForkableChannel = channel.Forker
 // --- Concurrent frame pipelines ---
 
 // Pipeline is a concurrent, batched, backpressured frame-processing
-// engine: an ordered list of stages, each fanned out over a bounded
-// worker pool, with output delivered strictly in submission order. See
+// engine: an ordered list of stages, each run by its own pool of worker
+// goroutines and linked to the next by a bounded channel, with one
+// delivery goroutine releasing output strictly in submission order. See
 // docs/PIPELINE.md and cmd/gfpipe.
 type Pipeline = pipeline.Pipeline
 

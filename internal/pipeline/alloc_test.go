@@ -122,8 +122,8 @@ func TestFrameLinkStagesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSubmitDeliverZeroAlloc walks the whole engine — Submit, ring
-// handoff, stage workers, reorder sink, delivery — and requires the
+// TestSubmitDeliverZeroAlloc walks the whole engine — Submit, stage
+// channels, stage workers, in-order delivery — and requires the
 // steady state to allocate nothing per frame. Regression: Submit used to
 // build a fresh &Frame{} per call (192 B/frame) instead of drawing from
 // framePool; the 0.5 threshold makes any reintroduced 1-alloc-per-frame

@@ -41,7 +41,7 @@ func rsBatchPipeline(t *testing.T, cfg Config, batch int) *Pipeline {
 // TestBatchEquivalence: packing codewords into batched frames must be
 // bit-exact with submitting them one per frame — same decoded payloads,
 // same per-codeword corrections — across worker counts (run under -race
-// this also exercises the sharded sink's handoffs).
+// this also exercises the stage channels and the in-order delivery).
 func TestBatchEquivalence(t *testing.T) {
 	const (
 		K     = 239

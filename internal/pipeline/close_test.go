@@ -45,19 +45,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestRunClosed pins the Closed() accessor.
-func TestRunClosed(t *testing.T) {
-	run := Must(Config{Workers: 1}, idStage()).Start()
-	if run.Closed() {
-		t.Error("fresh run reports closed")
-	}
-	run.Close()
-	if !run.Closed() {
-		t.Error("closed run reports open")
-	}
-	run.Wait()
-}
-
 // TestSubmitCheckedAfterClose returns ErrClosed, and SubmitTagged
 // panics with it.
 func TestSubmitCheckedAfterClose(t *testing.T) {

@@ -8,8 +8,9 @@
 // worker pool (Config.Workers goroutines) fed by a bounded channel, so a
 // slow stage exerts backpressure all the way back to Run.Submit instead
 // of buffering without limit. Frames are stamped with a sequence number
-// on submission and reordered at the sink, so output order always equals
-// submission order no matter how workers interleave.
+// on submission and one delivery goroutine restores that order after
+// the last stage, so output order always equals submission order no
+// matter how workers interleave.
 //
 // Stage implementations must be safe for concurrent use by multiple
 // workers (the codec adapters in stages.go are — see the concurrency
@@ -71,7 +72,8 @@ type Frame struct {
 	// accounting (Pipeline.Sink) is per codeword, so a failed batched
 	// frame charges its full width.
 	Width int
-	// Latency is the submit-to-delivery wall-clock time, set at the sink.
+	// Latency is the submit-to-delivery wall-clock time, set when the
+	// frame is released in Seq order.
 	Latency time.Duration
 
 	submitted time.Time
@@ -128,8 +130,8 @@ type Config struct {
 	// Workers is the worker-pool size of every stage. 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Queue is the depth of each stage's input ring (and of the output
-	// channel), in frames. 0 means 2*Workers. Smaller values tighten
+	// Queue is the capacity of every channel between stages (and of
+	// Out), in frames. 0 means 2*Workers. Smaller values tighten
 	// backpressure; larger values smooth out latency jitter between
 	// stages. Note the unit is frames: with batching each slot holds
 	// Batch codewords, so byte-level buffering scales with the batch.
@@ -155,12 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// maxShards caps the reorder sink's shard count: frames fan out by
-// Seq%shards to per-shard sequencers whose ordered streams a final
-// selector merges, so delivery-side stats folding parallelizes instead
-// of serializing on one goroutine. A run uses min(maxShards, Workers).
-const maxShards = 4
 
 // Pipeline is an immutable description of a stage sequence plus the
 // stats the stages accumulate across runs. Build one with New, then
@@ -222,73 +218,44 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // submission order from Out, Close when done.
 type Run struct {
 	p    *Pipeline
-	in   *frameRing
+	in   chan *Frame
 	out  chan *Frame
 	seq  atomic.Uint64
 	done chan struct{}
 
 	// mu gates submissions against Close: SubmitChecked holds it shared
 	// while sending on in, Close holds it exclusively while closing in,
-	// so a long-lived concurrent submitter (e.g. a server connection
-	// handler) can race Close safely and get ErrClosed instead of a send
-	// on a closed channel.
+	// so a long-lived concurrent submitter can race Close safely and get
+	// ErrClosed instead of a send on a closed channel.
 	mu     sync.RWMutex
 	closed bool
 }
 
 // Start launches the worker pools and returns a Run accepting frames.
-// Stages hand frames downstream through bulk rings; the last stage
-// scatters onto the sharded reorder sink (per-shard sequencers merged by
-// a selector), which delivers on Out in Seq order.
+// Stages are linked by channels of capacity Queue; one delivery
+// goroutine restores Seq order after the last stage and sends on Out.
 func (p *Pipeline) Start() *Run {
 	cfg := p.cfg
 	r := &Run{
 		p:    p,
-		in:   newFrameRing(cfg.Queue),
+		in:   make(chan *Frame, cfg.Queue),
 		out:  make(chan *Frame, cfg.Queue),
 		done: make(chan struct{}),
 	}
-	merged := newFrameRing(cfg.Queue)
-	var sink frameSink = merged
-	nshards := min(maxShards, cfg.Workers)
-	if nshards > 1 {
-		shards := make([]*frameRing, nshards)
-		for i := range shards {
-			shards[i] = newFrameRing(cfg.Queue)
-		}
-		sink = &shardedSink{shards: shards}
-		var seqWG sync.WaitGroup
-		seqWG.Add(nshards)
-		for i := range shards {
-			go r.sequencer(shards[i], merged, &seqWG)
-		}
-		go func() {
-			seqWG.Wait()
-			merged.close()
-		}()
-	}
 	src := r.in
 	for i, s := range p.stages {
-		if i == len(p.stages)-1 {
-			startStage(s, p.stats[i], cfg.Workers, src, sink)
-			break
-		}
-		next := newFrameRing(cfg.Queue)
-		startStage(s, p.stats[i], cfg.Workers, src, next)
-		src = next
+		dst := make(chan *Frame, cfg.Queue)
+		startStage(s, p.stats[i], cfg.Workers, src, dst)
+		src = dst
 	}
-	// With one shard there is nothing to fold in parallel: the last stage
-	// feeds the merged ring directly and the selector folds stats inline,
-	// costing no more handoffs than the pre-shard engine.
-	go r.selector(merged, nshards == 1)
+	go r.deliver(src)
 	return r
 }
 
 // startStage spawns the worker pool for stage s and closes dst once
-// every worker has drained src. Workers dequeue a run of frames per ring
-// synchronization and re-enqueue the whole run downstream in one bulk
-// put, so handoff cost amortizes over the run.
-func startStage(s Stage, st *StageStats, workers int, src *frameRing, dst frameSink) {
+// every worker has drained src. Frames that already failed upstream
+// pass through untouched.
+func startStage(s Stage, st *StageStats, workers int, src <-chan *Frame, dst chan<- *Frame) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -296,30 +263,70 @@ func startStage(s Stage, st *StageStats, workers int, src *frameRing, dst frameS
 		if wl, ok := s.(WorkerLocal); ok {
 			inst = wl.ForWorker(w)
 		}
-		go func(inst Stage) {
+		go func() {
 			defer wg.Done()
-			run := make([]*Frame, stageRun)
-			for {
-				n := src.getSome(run)
-				if n == 0 {
-					return
+			for f := range src {
+				if f.Err == nil {
+					RunStage(inst, st, f)
 				}
-				for _, f := range run[:n] {
-					if f.Err == nil {
-						RunStage(inst, st, f)
-					}
-				}
-				dst.putAll(run[:n])
-				for i := range run[:n] {
-					run[i] = nil
-				}
+				dst <- f
 			}
-		}(inst)
+		}()
 	}
 	go func() {
 		wg.Wait()
-		dst.close()
+		close(dst)
 	}()
+}
+
+// deliver releases frames on Out in dense Seq order. Frames that finish
+// ahead of their predecessors park in held, indexed by Seq modulo its
+// length; held doubles until it spans every frame in flight, which the
+// bounded channels cap, and is reused from then on.
+func (r *Run) deliver(src <-chan *Frame) {
+	defer close(r.out)
+	defer close(r.done)
+	held := make([]*Frame, 16)
+	var next uint64
+	for f := range src {
+		for f.Seq-next >= uint64(len(held)) {
+			grown := make([]*Frame, 2*len(held))
+			for _, g := range held {
+				if g != nil {
+					grown[g.Seq%uint64(len(grown))] = g
+				}
+			}
+			held = grown
+		}
+		held[f.Seq%uint64(len(held))] = f
+		for {
+			i := next % uint64(len(held))
+			g := held[i]
+			if g == nil {
+				break
+			}
+			held[i] = nil
+			next++
+			r.emit(g)
+		}
+	}
+}
+
+// emit stamps the frame's latency, folds it into Total and Sink (per
+// codeword: a failed batched frame charges its full width, not 1) and
+// sends it on Out.
+func (r *Run) emit(f *Frame) {
+	f.Latency = time.Since(f.submitted)
+	r.p.Total.Observe(f.Latency)
+	cw := int64(f.width())
+	sk := &r.p.Sink
+	sk.Frames.Add(1)
+	sk.Codewords.Add(cw)
+	if f.Err != nil {
+		sk.Failed.Add(1)
+		sk.FailedCodewords.Add(cw)
+	}
+	r.out <- f
 }
 
 // RunStage calls s.Process on f and folds the call into st: bytes,
@@ -396,18 +403,11 @@ func (r *Run) SubmitChecked(data []byte, epoch int, tag any) (uint64, error) {
 	f := framePool.Get().(*Frame)
 	*f = Frame{Data: data, Epoch: epoch, Tag: tag, submitted: time.Now()}
 	f.Seq = r.seq.Add(1) - 1
-	// Copy Seq before the handoff: once put, the consumer may deliver
+	// Copy Seq before the handoff: once sent, the consumer may deliver
 	// and Free the frame (returning it to the pool) at any moment.
 	seq := f.Seq
-	r.in.put(f)
+	r.in <- f
 	return seq, nil
-}
-
-// Closed reports whether Close has been called on this run.
-func (r *Run) Closed() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.closed
 }
 
 // Out delivers processed frames in submission order. It is closed after
@@ -425,7 +425,7 @@ func (r *Run) Close() {
 		return
 	}
 	r.closed = true
-	r.in.close()
+	close(r.in)
 }
 
 // Wait blocks until the pipeline has fully drained (Close called and

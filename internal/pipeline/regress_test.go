@@ -3,7 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 )
@@ -11,97 +15,97 @@ import (
 // The Hist bucket-boundary and quantile regressions moved to
 // internal/perf/hist_test.go with the type.
 
-// TestReorderOutOfBand exercises the sink's leftover path by injecting
-// frames directly into the run (bypassing Submit's seq assignment) with
-// a sequence gap, so none can be released in band. Regression: the
-// leftovers used to come out in nondeterministic map order, any stage
-// error was overwritten, and Latency was computed from a zero submitted
-// timestamp.
-func TestReorderOutOfBand(t *testing.T) {
-	sentinel := errors.New("stage failure to preserve")
-	pl := Must(Config{Workers: 1, Queue: 8}, Func{Label: "id", F: func(f *Frame) error {
-		return nil
-	}})
-	r := pl.Start()
-	// Seqs 5, 3, 4: seq 0 never arrives, so the in-band loop releases
-	// nothing and every frame takes the out-of-band path.
-	f5 := &Frame{Seq: 5, Data: []byte{5}}
-	f3 := &Frame{Seq: 3, Data: []byte{3}, Err: sentinel, FailedAt: "earlier-stage"}
-	f4 := &Frame{Seq: 4, Data: []byte{4}}
-	for _, f := range []*Frame{f5, f3, f4} {
-		r.in.put(f)
-	}
-	r.Close()
-
-	var got []*Frame
-	for f := range r.Out() {
-		got = append(got, f)
-	}
-	if len(got) != 3 {
-		t.Fatalf("delivered %d frames, want 3", len(got))
-	}
-	for i, want := range []uint64{3, 4, 5} {
-		if got[i].Seq != want {
-			t.Fatalf("delivery order %v, want Seq ascending [3 4 5]",
-				[]uint64{got[0].Seq, got[1].Seq, got[2].Seq})
-		}
-	}
-	if !errors.Is(got[0].Err, sentinel) {
-		t.Errorf("pre-existing error overwritten: %v", got[0].Err)
-	}
-	if got[0].FailedAt != "earlier-stage" {
-		t.Errorf("FailedAt overwritten: %q", got[0].FailedAt)
-	}
-	for _, f := range got[1:] {
-		if f.Err == nil {
-			t.Errorf("frame %d missing out-of-band error", f.Seq)
-		}
-	}
-	// None of these frames went through Submit: Latency must not be
-	// computed from the zero timestamp (which would be ~25 years).
-	for _, f := range got {
-		if f.Latency != 0 {
-			t.Errorf("frame %d Latency = %v from zero submitted time, want 0", f.Seq, f.Latency)
-		}
-	}
-}
-
-// TestReorderOutOfBandBatchedCounts: the leftover path must account
-// batched frames per codeword. Regression guard for the sharded sink: a
-// width-4 frame delivered out of band (or carrying a stage error)
-// charges 4 failed codewords to Pipeline.Sink, not 1.
-func TestReorderOutOfBandBatchedCounts(t *testing.T) {
-	pl := Must(Config{Workers: 1, Queue: 8}, Func{Label: "id", F: func(f *Frame) error {
-		return nil
-	}})
-	r := pl.Start()
-	// Both frames are batched (Width 4 and 3) and stranded behind the
-	// missing seq 0, so both take the out-of-band path.
-	r.in.put(&Frame{Seq: 2, Width: 4, Data: []byte{2}})
-	r.in.put(&Frame{Seq: 3, Width: 3, Data: []byte{3}, Err: errors.New("stage failed"), FailedAt: "enc"})
-	r.Close()
-	var n int
-	for f := range r.Out() {
-		if f.Err == nil {
-			t.Fatalf("frame %d delivered clean, want out-of-band or stage error", f.Seq)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("delivered %d frames, want 2", n)
-	}
-	sink := &pl.Sink
-	if got := sink.Frames.Load(); got != 2 {
-		t.Errorf("Sink.Frames = %d, want 2", got)
-	}
-	if got := sink.Codewords.Load(); got != 7 {
-		t.Errorf("Sink.Codewords = %d, want 7", got)
-	}
-	if got := sink.Failed.Load(); got != 2 {
-		t.Errorf("Sink.Failed = %d, want 2", got)
-	}
-	if got := sink.FailedCodewords.Load(); got != 7 {
-		t.Errorf("Sink.FailedCodewords = %d, want 7 (full width per failed frame)", got)
+// TestReorderThroughSubmit drives the in-order delivery through the
+// public path only. Every 5th frame carries a width-4 payload that the
+// first stage fails, so it skips the second stage and reaches delivery
+// early; the second stage stalls on every 4th Seq, so frames also
+// finish it out of order. Delivery must still be dense Seq order, each
+// failed frame must keep its own Err and FailedAt, and the sink must
+// charge a failed width-4 frame 4 codewords.
+func TestReorderThroughSubmit(t *testing.T) {
+	const frames = 60
+	errBatch := errors.New("batched frame rejected")
+	for _, queue := range []int{1, 4} {
+		t.Run(fmt.Sprintf("queue=%d", queue), func(t *testing.T) {
+			reject := Func{Label: "reject", F: func(f *Frame) error {
+				f.Width = len(f.Data)
+				if f.Width == 4 {
+					return errBatch
+				}
+				return nil
+			}}
+			var mu sync.Mutex
+			var finished []uint64
+			stall := Func{Label: "stall", F: func(f *Frame) error {
+				if f.Seq%4 == 0 {
+					time.Sleep(2 * time.Millisecond)
+				}
+				mu.Lock()
+				finished = append(finished, f.Seq)
+				mu.Unlock()
+				return nil
+			}}
+			p := Must(Config{Workers: 4, Queue: queue}, reject, stall)
+			payloads := make([][]byte, frames)
+			for i := range payloads {
+				payloads[i] = []byte{byte(i)}
+				if i%5 == 0 {
+					payloads[i] = []byte{byte(i), 1, 2, 3}
+				}
+			}
+			got, err := p.Start().Drain(payloads)
+			if !errors.Is(err, errBatch) {
+				t.Fatalf("Drain error = %v, want the rejected batch", err)
+			}
+			if len(got) != frames {
+				t.Fatalf("delivered %d frames, want %d", len(got), frames)
+			}
+			var failed int64
+			for i, f := range got {
+				if f.Seq != uint64(i) {
+					t.Fatalf("delivery %d carries seq %d, want dense Seq order", i, f.Seq)
+				}
+				if f.Data[0] != byte(i) {
+					t.Fatalf("frame %d carries payload %d", i, f.Data[0])
+				}
+				if i%5 != 0 {
+					if f.Err != nil {
+						t.Fatalf("frame %d failed: %v", i, f.Err)
+					}
+					continue
+				}
+				failed++
+				if !errors.Is(f.Err, errBatch) || f.FailedAt != "reject" {
+					t.Errorf("frame %d: Err %v FailedAt %q, want the reject stage's error", i, f.Err, f.FailedAt)
+				}
+				if f.Width != 4 {
+					t.Errorf("frame %d: Width %d, want 4", i, f.Width)
+				}
+			}
+			if sort.SliceIsSorted(finished, func(i, j int) bool { return finished[i] < finished[j] }) {
+				t.Errorf("stall stage finished frames in Seq order %v; the test needs them out of order", finished)
+			}
+			if n := p.Stats()[1].Frames.Load(); n != frames-failed {
+				t.Errorf("stall stage processed %d frames, want %d (failed frames skip it)", n, frames-failed)
+			}
+			sk := &p.Sink
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"Frames", sk.Frames.Load(), frames},
+				{"Codewords", sk.Codewords.Load(), frames - failed + 4*failed},
+				{"Failed", sk.Failed.Load(), failed},
+				{"FailedCodewords", sk.FailedCodewords.Load(), 4 * failed},
+			} {
+				if c.got != c.want {
+					t.Errorf("Sink.%s = %d, want %d", c.name, c.got, c.want)
+				}
+			}
+			if n := p.Total.Count(); n != frames {
+				t.Errorf("Total has %d samples, want %d", n, frames)
+			}
+		})
 	}
 }
 

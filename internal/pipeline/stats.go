@@ -63,7 +63,8 @@ func (a *countsAccum) snapshot() perf.Counts {
 // (zero unless a metered stage ran).
 func (s *StageStats) Counts() perf.Counts { return s.counts.snapshot() }
 
-// SinkStats counts what left the pipeline, folded at the reorder sink.
+// SinkStats counts what left the pipeline, folded as each frame is
+// released in Seq order.
 // Frames are engine frames (one per Submit); Codewords unpacks batching
 // (a frame carrying a 16-codeword payload counts 16), so failure rates
 // stay comparable across batch settings — a failed batched frame charges
