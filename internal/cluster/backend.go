@@ -40,9 +40,9 @@ const (
 	stateEjected
 )
 
-// backend is one fleet member: its spec, health state and a small pool
-// of persistent GFP1 client connections. All methods are safe for
-// concurrent use.
+// backend is one fleet member: its spec, health state and the one
+// persistent GFP1 connection every forward to it shares. All methods
+// are safe for concurrent use.
 type backend struct {
 	spec BackendSpec
 	idx  int
@@ -57,11 +57,11 @@ type backend struct {
 	consecOKs     int
 	lastHealthErr string
 
-	// Connection pool: idle clients ready to forward on. Broken clients
-	// are closed, never pooled.
-	pmu      sync.Mutex
-	idle     []*server.Client
-	poolSize int
+	// The shared connection: concurrent forwards pipeline on it and the
+	// client matches responses by request id. nil until the first
+	// forward dials it, and again after a transport failure or ejection.
+	cmu      sync.Mutex
+	cl       *server.Client
 	dialWait time.Duration
 
 	// Counters surfaced per backend on the proxy's admin plane.
@@ -71,8 +71,8 @@ type backend struct {
 	readmits  atomic.Int64 // ejected -> healthy transitions
 }
 
-func newBackend(idx int, spec BackendSpec, poolSize int, dialWait time.Duration) *backend {
-	return &backend{spec: spec, idx: idx, poolSize: poolSize, dialWait: dialWait}
+func newBackend(idx int, spec BackendSpec, dialWait time.Duration) *backend {
+	return &backend{spec: spec, idx: idx, dialWait: dialWait}
 }
 
 func (b *backend) healthy() bool { return b.state.Load() == stateHealthy }
@@ -85,44 +85,53 @@ func (b *backend) stateName() string {
 	return "ejected"
 }
 
-// get returns a pooled client or dials a fresh one.
-func (b *backend) get() (*server.Client, error) {
-	b.pmu.Lock()
-	if n := len(b.idle); n > 0 {
-		c := b.idle[n-1]
-		b.idle = b.idle[:n-1]
-		b.pmu.Unlock()
-		return c, nil
+// client returns the shared connection, dialing one if there is none.
+// The dial runs outside cmu: it retries a refused backend for up to
+// dialWait, and concurrent forwards must not queue behind it. The first
+// dial to finish is installed; a slower one is closed.
+func (b *backend) client() (*server.Client, error) {
+	b.cmu.Lock()
+	cl := b.cl
+	b.cmu.Unlock()
+	if cl != nil {
+		return cl, nil
 	}
-	b.pmu.Unlock()
-	return server.Dial(b.spec.Addr, b.dialWait)
+	cl, err := server.Dial(b.spec.Addr, b.dialWait)
+	if err != nil {
+		return nil, err
+	}
+	b.cmu.Lock()
+	defer b.cmu.Unlock()
+	if b.cl != nil {
+		cl.Close()
+		return b.cl, nil
+	}
+	b.cl = cl
+	return cl, nil
 }
 
-// put returns a client to the pool, or closes it when the pool is full
-// or the backend has been ejected (an ejected backend's sockets may be
-// half-dead; readmission starts from fresh dials).
-func (b *backend) put(c *server.Client) {
-	if !b.healthy() {
-		c.Close()
-		return
+// drop closes cl after a transport failure and detaches it if it is
+// still the shared connection, so the next forward dials fresh.
+func (b *backend) drop(cl *server.Client) {
+	b.cmu.Lock()
+	if b.cl == cl {
+		b.cl = nil
 	}
-	b.pmu.Lock()
-	if len(b.idle) < b.poolSize {
-		b.idle = append(b.idle, c)
-		b.pmu.Unlock()
-		return
-	}
-	b.pmu.Unlock()
-	c.Close()
+	b.cmu.Unlock()
+	cl.Close()
 }
 
-// closePool drops every idle client (on ejection).
-func (b *backend) closePool() {
-	b.pmu.Lock()
-	idle := b.idle
-	b.idle = nil
-	b.pmu.Unlock()
-	for _, c := range idle {
-		c.Close()
+// retire detaches the shared connection, so the next forward dials
+// fresh, and closes it once grace has passed. Ejection retires with the
+// forward timeout as grace: every call already on the connection is
+// bounded by it, so a request in flight when the probes ejected the
+// backend still completes.
+func (b *backend) retire(grace time.Duration) {
+	b.cmu.Lock()
+	cl := b.cl
+	b.cl = nil
+	b.cmu.Unlock()
+	if cl != nil {
+		time.AfterFunc(grace, func() { cl.Close() })
 	}
 }

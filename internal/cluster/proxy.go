@@ -32,14 +32,12 @@ type Config struct {
 	// after a transport failure; any op is re-routed when a backend
 	// refuses it unprocessed (Status.RetrySafe).
 	Retries int
-	// PoolSize is the idle GFP1 connections kept per backend (0 = 4).
-	PoolSize int
 	// DialWait bounds connection establishment to a backend, retrying
 	// refused dials (0 = 1s).
 	DialWait time.Duration
 	// ForwardTimeout bounds one forward attempt end to end; a backend
-	// that accepted the connection but never answers is treated as a
-	// transport failure (0 = 30s).
+	// that accepted the request but never answers it is treated as a
+	// transport failure, and the request alone is abandoned (0 = 30s).
 	ForwardTimeout time.Duration
 	// Window caps each client connection's in-flight requests (0 = 32).
 	Window int
@@ -90,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
 	}
 	if c.DialWait <= 0 {
 		c.DialWait = time.Second
@@ -181,7 +176,7 @@ type Proxy struct {
 const proxyOpSlots = 10
 
 // New builds the proxy: the consistent-hash ring over the configured
-// backends, the per-backend connection pools, the admission table, and
+// backends, the per-backend connection state, the admission table, and
 // the active health checker (which starts probing immediately, so a
 // dead backend is ejected before the first client request routes to
 // it).
@@ -213,7 +208,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.backends = make([]*backend, len(cfg.Backends))
 	for i, spec := range cfg.Backends {
-		p.backends[i] = newBackend(i, spec, cfg.PoolSize, cfg.DialWait)
+		p.backends[i] = newBackend(i, spec, cfg.DialWait)
 	}
 	p.hc = newHealth(p, cfg.HealthInterval, cfg.HealthTimeout, cfg.FailAfter, cfg.ReadmitAfter)
 	return p, nil
@@ -305,7 +300,9 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 		p.handlerWG.Wait() // every in-flight forward answered or dropped
 		p.closeConns()
 		p.hc.Close()
-		p.closePools()
+		for _, b := range p.backends {
+			b.retire(0) // handlerWG drained: no call is left on it
+		}
 	}()
 	select {
 	case <-done:
@@ -330,12 +327,6 @@ func (p *Proxy) closeConns() {
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.fail()
-	}
-}
-
-func (p *Proxy) closePools() {
-	for _, b := range p.backends {
-		b.closePool()
 	}
 }
 
@@ -753,55 +744,34 @@ func (p *Proxy) wideEvent(c *pconn, tc trace.Context, span uint64,
 	lg.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
 }
 
-// callBackend performs one forward attempt. A nil error means the
-// backend answered — possibly with an error status, which the caller
-// relays or retries by its own rules; a non-nil error is a transport
-// failure (dial, connection loss, or forward timeout) and the client
-// connection involved is discarded.
+// callBackend performs one forward attempt on the backend's shared
+// connection. A nil error means the backend answered — possibly with an
+// error status, which the caller relays or retries by its own rules; a
+// non-nil error is a transport failure (dial, connection loss, or
+// forward timeout). A lost connection is dropped; a timed-out call
+// abandons only itself, so one slow request cannot fail the others
+// pipelined beside it.
 func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, error) {
-	cl, err := b.get()
+	cl, err := b.client()
 	if err != nil {
 		return nil, err
 	}
-	type callResult struct {
-		m   *server.Message
-		err error
+	// DoTimeout (not Call) preserves the trace flag and extension the
+	// forward path injected into the attempt message.
+	rm, err := cl.DoTimeout(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload},
+		p.cfg.ForwardTimeout)
+	var se *server.StatusError
+	switch {
+	case err == nil, errors.As(err, &se) && rm != nil:
+		// An error status is a processed outcome, not a transport
+		// failure: relay it.
+		return &server.Message{Op: rm.Op, Status: rm.Status, ID: m.ID, Payload: rm.Payload}, nil
+	case errors.Is(err, server.ErrTimeout):
+		return nil, fmt.Errorf("forward timeout after %v", p.cfg.ForwardTimeout)
+	default:
+		b.drop(cl)
+		return nil, err
 	}
-	done := make(chan callResult, 1)
-	go func() {
-		// Do (not Call) preserves the trace flag and extension the
-		// forward path injected into the attempt message.
-		rm, cerr := cl.Do(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload})
-		done <- callResult{rm, cerr}
-	}()
-	// A stopped NewTimer, not time.After: under go1.22 timer semantics an
-	// unfired time.After timer stays live for the full ForwardTimeout, so
-	// every forwarded request would retain one.
-	timeout := time.NewTimer(p.cfg.ForwardTimeout)
-	defer timeout.Stop()
-	var r callResult
-	select {
-	case r = <-done:
-	case <-timeout.C:
-		cl.Close() // forces the pending Call to fail promptly
-		r = <-done
-		if r.err != nil {
-			return nil, fmt.Errorf("forward timeout after %v", p.cfg.ForwardTimeout)
-		}
-	}
-	if r.err != nil {
-		var se *server.StatusError
-		if errors.As(r.err, &se) && r.m != nil {
-			// The backend answered with an error status: a processed
-			// outcome, not a transport failure. Relay it.
-			b.put(cl)
-			return &server.Message{Op: r.m.Op, Status: r.m.Status, ID: m.ID, Payload: r.m.Payload}, nil
-		}
-		cl.Close()
-		return nil, r.err
-	}
-	b.put(cl)
-	return &server.Message{Op: r.m.Op, Status: r.m.Status, ID: m.ID, Payload: r.m.Payload}, nil
 }
 
 // write serializes one response onto the client socket. ledgered

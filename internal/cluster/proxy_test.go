@@ -45,7 +45,11 @@ func startBackend(t *testing.T, cfg server.Config) *testBackend {
 }
 
 // start binds the GFP1 and admin listeners (":0" or a previously bound
-// address for a restart) and launches the server.
+// address for a restart), launches the server and returns once its
+// /healthz answers 200, so every test backend starts ready, as a
+// deployed gfserved does. The first /healthz runs the lazy start-up
+// self-test, which under -race can outlast a fast health probe's
+// timeout and get a fresh backend ejected.
 func (tb *testBackend) start(addr, adminAddr string) {
 	tb.t.Helper()
 	srv, err := server.New(tb.cfg)
@@ -70,6 +74,24 @@ func (tb *testBackend) start(addr, adminAddr string) {
 	tb.stopped.Store(false)
 	go func() { tb.serveDone <- srv.Serve(ln) }()
 	go tb.adminSrv.Serve(adminLn)
+
+	hc := &http.Client{Timeout: 10 * time.Second}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := hc.Get("http://" + tb.adminAddr + "/healthz")
+		var why any = err
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+			why = resp.Status
+		}
+		if time.Now().After(deadline) {
+			tb.t.Fatalf("backend %s not ready after 10s: %v", tb.addr, why)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // kill simulates losing the process mid-flight: connections are cut
@@ -343,11 +365,14 @@ func TestProxyKillEjectReadmitUnderLoad(t *testing.T) {
 }
 
 // fakeBackend is a scriptable GFP1 endpoint for failure-injection
-// tests: handle returns the response for a request, or ok=false to
-// kill the connection instead (a transport failure mid-call).
+// tests: handle returns the response for a request, a nil response to
+// withhold the answer and read on, or ok=false to kill the connection
+// instead (a transport failure mid-call). Requests on one connection
+// are handled in order.
 type fakeBackend struct {
 	ln     net.Listener
 	handle func(m *server.Message) (resp *server.Message, ok bool)
+	conns  atomic.Int64 // connections accepted
 }
 
 func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bool)) *fakeBackend {
@@ -363,6 +388,7 @@ func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bo
 			if err != nil {
 				return
 			}
+			f.conns.Add(1)
 			go f.serve(nc)
 		}
 	}()
@@ -381,6 +407,9 @@ func (f *fakeBackend) serve(nc net.Conn) {
 		resp, ok := f.handle(m)
 		if !ok {
 			return
+		}
+		if resp == nil {
+			continue
 		}
 		resp.ID = m.ID
 		if err := server.WriteResponse(nc, resp); err != nil {

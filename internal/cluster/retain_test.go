@@ -53,7 +53,7 @@ func TestProxyForwardRetainsNoTimer(t *testing.T) {
 		return ms.HeapAlloc
 	}
 
-	drive(400) // warm pools, buffers and backend connections
+	drive(400) // warm buffers and the backend connection
 	before := heap()
 	drive(requests)
 	after := heap()

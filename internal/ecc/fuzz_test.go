@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"bytes"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -69,4 +70,47 @@ func FuzzOpenSessionResponse(f *testing.F) {
 			t.Fatalf("opened challenge %q, want %q", got, challenge)
 		}
 	})
+}
+
+// FuzzVerifyWire feeds arbitrary ecdsa-verify wire payloads,
+// pub‖sig‖digest, to the engine's verifier on K-233, split the way the
+// server's dispatch stage splits them once validateECC's length rule
+// has passed. It must never panic, and since only the key holder can
+// sign, it may accept only the engine's own public key with the
+// genuine deterministic signature r‖s over the digest or its high-s
+// twin r‖(n−s). The seeds (testdata/fuzz/FuzzVerifyWire) hold a
+// genuine triple, its twin, a flipped digest bit, r = 0 with s = n,
+// r with s+n, a short signature and an off-curve point.
+func FuzzVerifyWire(f *testing.F) {
+	c := K233()
+	e := testEngine(f, c)
+	pb, ob := e.PointBytes(), e.OrderBytes()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) <= pb+2*ob || len(b) > pb+2*ob+MaxDigestBytes {
+			return // validateECC rejects the length before dispatch
+		}
+		pub, sig, digest := b[:pb], b[pb:pb+2*ob], b[pb+2*ob:]
+		if e.VerifyWire(pub, sig, digest) != nil {
+			return
+		}
+		if !bytes.Equal(pub, e.PublicBytes()) {
+			t.Fatalf("accepted a signature under a foreign key %x", pub)
+		}
+		want, err := e.SignAppend(nil, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sig, want) && !bytes.Equal(sig, highS(c, want)) {
+			t.Fatalf("accepted %x over %x, want the genuine signature %x or its twin", sig, digest, want)
+		}
+	})
+}
+
+// highS returns the twin r‖(n−s) of a wire signature r‖s.
+func highS(c *Curve, sig []byte) []byte {
+	ob := len(sig) / 2
+	s := new(big.Int).SetBytes(sig[ob:])
+	out := append([]byte{}, sig...)
+	new(big.Int).Sub(c.Order, s).FillBytes(out[ob:])
+	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -21,6 +22,11 @@ type StatusError struct {
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("server: %v: %v: %s", e.Op, e.Status, e.Msg)
 }
+
+// ErrTimeout is DoTimeout's error for a call whose response did not
+// arrive in time. Only that call is abandoned: the connection and every
+// other call on it stay up, and a late response is discarded.
+var ErrTimeout = errors.New("server: call timed out")
 
 // Client is a connection to a codec server. Call (and the typed
 // wrappers) are safe for concurrent use: concurrent callers pipeline
@@ -116,6 +122,23 @@ func (c *Client) Call(op Op, params, payload []byte) (*Message, error) {
 // Call's (op, params, payload) surface. A non-OK status comes back as a
 // *StatusError (alongside the raw response).
 func (c *Client) Do(m *Message) (*Message, error) {
+	return c.DoTimeout(m, 0)
+}
+
+// DoTimeout is Do bounded by d (0 = unbounded). When d passes first
+// the call abandons its request and returns ErrTimeout; the connection
+// stays up. A write that cannot finish within d fails the whole client,
+// as any write error does: a half-written frame poisons the stream.
+func (c *Client) DoTimeout(m *Message, d time.Duration) (*Message, error) {
+	var expired <-chan time.Time
+	if d > 0 {
+		// A stopped NewTimer, not time.After: under go1.22 timer
+		// semantics an unfired time.After timer stays live for all of d,
+		// so every call would retain one.
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
 	ch := make(chan *Message, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -130,9 +153,15 @@ func (c *Client) Do(m *Message) (*Message, error) {
 
 	m.ID = id
 	c.wmu.Lock()
+	if d > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
 	err := writeMessage(c.bw, m)
 	if err == nil {
 		err = c.bw.Flush()
+	}
+	if d > 0 {
+		c.nc.SetWriteDeadline(time.Time{})
 	}
 	c.wmu.Unlock()
 	if err != nil {
@@ -155,6 +184,11 @@ func (c *Client) Do(m *Message) (*Message, error) {
 		delete(c.pending, id)
 		c.mu.Unlock()
 		return nil, err
+	case <-expired:
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, ErrTimeout
 	}
 }
 
