@@ -5,15 +5,24 @@
 // required), and MixColumns/InvMixColumns are inner products in
 // GF(2^8)/x^8+x^4+x^3+x+1.
 //
-// The implementation is validated against the standard library crypto/aes
-// and the FIPS-197 vectors in the tests. It is a reference/teaching
-// implementation of the paper's datapath, not a constant-time production
-// cipher.
+// Encrypt, the serving path of CTR and GCM, runs on four big-endian
+// uint32 columns with a word key schedule and four fused round tables
+// te0..te3, generated at init from this package's own S-box and
+// MixColumns rows: one lookup per state byte does SubBytes, ShiftRows
+// and MixColumns together. The State functions (SubBytes, ShiftRows,
+// MixColumns, ...) are the FIPS-197 reference: the metered paper
+// kernels, Decrypt and SelfTest use them. Both are validated against
+// the standard library crypto/aes and the FIPS-197 vectors in the tests.
+//
+// Not constant-time: the round tables, like the S-box and mixT, are
+// indexed by secret bytes, so the cipher's cache footprint depends on
+// the key and data. GHASH (gcm.go) is constant-time.
 //
 // Concurrency: a *Cipher is immutable once NewCipher has expanded the
 // key schedule, and a *GCM is immutable once NewGCM has derived the
 // GHASH subkey; Encrypt, Decrypt, Seal and Open keep all per-call state
-// in locals (the package-level sbox tables are written only at init).
+// in locals (the package-level S-box and round tables are written only
+// at init).
 // One shared instance may therefore be used from many goroutines
 // concurrently, as the repro/internal/pipeline worker pools do; the
 // CTR/CBC helpers in modes.go take the IV per call and are equally safe
@@ -21,7 +30,9 @@
 package aes
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gf"
 )
@@ -91,8 +102,10 @@ func invAffine(b byte) byte {
 
 // Cipher is an AES cipher with an expanded key schedule.
 type Cipher struct {
-	rounds int      // 10, 12 or 14
-	enc    [][]byte // rounds+1 round keys of 16 bytes, encryption order
+	rounds int // 10, 12 or 14
+	// enc holds the 4*(rounds+1) round-key words in encryption order,
+	// one big-endian column each.
+	enc [4 * 15]uint32
 }
 
 // NewCipher creates an AES cipher for a 16-, 24- or 32-byte key.
@@ -109,7 +122,7 @@ func NewCipher(key []byte) (*Cipher, error) {
 		return nil, fmt.Errorf("aes: invalid key size %d", len(key))
 	}
 	c := &Cipher{rounds: rounds}
-	c.enc = expandKey(key, rounds)
+	expandKey(c.enc[:4*(rounds+1)], key)
 	return c, nil
 }
 
@@ -117,41 +130,42 @@ func NewCipher(key []byte) (*Cipher, error) {
 func (c *Cipher) Rounds() int { return c.rounds }
 
 // RoundKey returns round key r (0..rounds) as 16 bytes.
-func (c *Cipher) RoundKey(r int) []byte { return append([]byte(nil), c.enc[r]...) }
+func (c *Cipher) RoundKey(r int) []byte {
+	rk := c.roundKey(r)
+	return rk[:]
+}
 
-// expandKey performs the FIPS-197 key expansion. The RotWord/SubWord step
-// is the "vectorizable with 4 (a row)" kernel of the paper's Table 5.
-func expandKey(key []byte, rounds int) [][]byte {
+// roundKey returns round key r as bytes, the form the State functions
+// take.
+func (c *Cipher) roundKey(r int) [BlockSize]byte {
+	var rk [BlockSize]byte
+	for i := 0; i < 4; i++ {
+		binary.BigEndian.PutUint32(rk[4*i:], c.enc[4*r+i])
+	}
+	return rk
+}
+
+// expandKey performs the FIPS-197 key expansion into the words w, one
+// big-endian column each. The RotWord/SubWord step is the "vectorizable
+// with 4 (a row)" kernel of the paper's Table 5.
+func expandKey(w []uint32, key []byte) {
 	nk := len(key) / 4
-	nw := 4 * (rounds + 1)
-	w := make([][4]byte, nw)
 	for i := 0; i < nk; i++ {
-		copy(w[i][:], key[4*i:4*i+4])
+		w[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
 	rcon := byte(1)
-	for i := nk; i < nw; i++ {
+	for i := nk; i < len(w); i++ {
 		t := w[i-1]
 		if i%nk == 0 {
 			// RotWord + SubWord + Rcon
-			t = [4]byte{sbox[t[1]], sbox[t[2]], sbox[t[3]], sbox[t[0]]}
-			t[0] ^= rcon
+			t = bits.RotateLeft32(t, 8)
+			t = subRows(t, t, t, t) ^ uint32(rcon)<<24
 			rcon = Xtime(rcon)
 		} else if nk > 6 && i%nk == 4 {
-			t = [4]byte{sbox[t[0]], sbox[t[1]], sbox[t[2]], sbox[t[3]]}
+			t = subRows(t, t, t, t)
 		}
-		for j := 0; j < 4; j++ {
-			w[i][j] = w[i-nk][j] ^ t[j]
-		}
+		w[i] = w[i-nk] ^ t
 	}
-	keys := make([][]byte, rounds+1)
-	for r := range keys {
-		k := make([]byte, 16)
-		for c := 0; c < 4; c++ {
-			copy(k[4*c:], w[4*r+c][:])
-		}
-		keys[r] = k
-	}
-	return keys
 }
 
 // State is the 4x4 AES state. state[r][c] follows FIPS-197: byte i of the
@@ -265,6 +279,26 @@ func init() {
 	}
 }
 
+// te0..te3 are the fused round tables: te0[x] is the MixColumns column
+// of S(x) in row 0, {2·S(x), S(x), S(x), 3·S(x)} as one big-endian word,
+// and te1..te3 are it rotated right by 8, 16 and 24 bits for rows 1..3.
+// XORing te0[a0] ^ te1[a1] ^ te2[a2] ^ te3[a3] over the four bytes that
+// ShiftRows brings into a column is SubBytes, ShiftRows and MixColumns
+// of that column. They are built from sbox and mixT, so they inherit the
+// differential checks on both.
+var te0, te1, te2, te3 [256]uint32
+
+func init() {
+	for x := 0; x < 256; x++ {
+		s := sbox[x]
+		w := uint32(mixT[0][s])<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(mixT[1][s])
+		te0[x] = w
+		te1[x] = bits.RotateLeft32(w, -8)
+		te2[x] = bits.RotateLeft32(w, -16)
+		te3[x] = bits.RotateLeft32(w, -24)
+	}
+}
+
 // Xtime multiplies by x (0x02) in the AES field — the doubling primitive
 // classic byte-sliced AES implementations build MixColumns from.
 func Xtime(b byte) byte { return mixT[0][b] }
@@ -317,17 +351,64 @@ func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
+	s0, s1, s2, s3 := c.encrypt(binary.BigEndian.Uint32(src[0:4]), binary.BigEndian.Uint32(src[4:8]),
+		binary.BigEndian.Uint32(src[8:12]), binary.BigEndian.Uint32(src[12:16]))
+	binary.BigEndian.PutUint32(dst[0:4], s0)
+	binary.BigEndian.PutUint32(dst[4:8], s1)
+	binary.BigEndian.PutUint32(dst[8:12], s2)
+	binary.BigEndian.PutUint32(dst[12:16], s3)
+}
+
+// encrypt runs the cipher on one block held as four big-endian columns.
+// Each middle round is four table lookups and a round-key word per
+// column; the last round (no MixColumns) looks up the plain S-box.
+func (c *Cipher) encrypt(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
+	k := c.enc[:4*(c.rounds+1)]
+	s0 ^= k[0]
+	s1 ^= k[1]
+	s2 ^= k[2]
+	s3 ^= k[3]
+	for k = k[4:]; len(k) > 4; k = k[4:] {
+		t0 := te0[s0>>24] ^ te1[uint8(s1>>16)] ^ te2[uint8(s2>>8)] ^ te3[uint8(s3)] ^ k[0]
+		t1 := te0[s1>>24] ^ te1[uint8(s2>>16)] ^ te2[uint8(s3>>8)] ^ te3[uint8(s0)] ^ k[1]
+		t2 := te0[s2>>24] ^ te1[uint8(s3>>16)] ^ te2[uint8(s0>>8)] ^ te3[uint8(s1)] ^ k[2]
+		t3 := te0[s3>>24] ^ te1[uint8(s0>>16)] ^ te2[uint8(s1>>8)] ^ te3[uint8(s2)] ^ k[3]
+		s0, s1, s2, s3 = t0, t1, t2, t3
+	}
+	k = k[:4]
+	t0 := subRows(s0, s1, s2, s3) ^ k[0]
+	t1 := subRows(s1, s2, s3, s0) ^ k[1]
+	t2 := subRows(s2, s3, s0, s1) ^ k[2]
+	t3 := subRows(s3, s0, s1, s2) ^ k[3]
+	return t0, t1, t2, t3
+}
+
+// subRows returns the word whose byte r (byte 0 is the most
+// significant) is the S-box of byte r of the r-th argument: SubBytes and
+// ShiftRows of one column in the last round, SubWord (all four
+// arguments the same word) in the key schedule.
+func subRows(a, b, c, d uint32) uint32 {
+	return uint32(sbox[a>>24])<<24 | uint32(sbox[uint8(b>>16)])<<16 |
+		uint32(sbox[uint8(c>>8)])<<8 | uint32(sbox[uint8(d)])
+}
+
+// encryptState is the FIPS-197 reference for Encrypt: the round
+// composed from the State functions.
+func (c *Cipher) encryptState(dst, src []byte) {
 	s := LoadState(src[:16])
-	AddRoundKey(&s, c.enc[0])
+	rk := c.roundKey(0)
+	AddRoundKey(&s, rk[:])
 	for r := 1; r < c.rounds; r++ {
 		SubBytes(&s)
 		ShiftRows(&s)
 		MixColumns(&s)
-		AddRoundKey(&s, c.enc[r])
+		rk = c.roundKey(r)
+		AddRoundKey(&s, rk[:])
 	}
 	SubBytes(&s)
 	ShiftRows(&s)
-	AddRoundKey(&s, c.enc[c.rounds])
+	rk = c.roundKey(c.rounds)
+	AddRoundKey(&s, rk[:])
 	copy(dst, s.Bytes())
 }
 
@@ -338,16 +419,19 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 		panic("aes: short block")
 	}
 	s := LoadState(src[:16])
-	AddRoundKey(&s, c.enc[c.rounds])
+	rk := c.roundKey(c.rounds)
+	AddRoundKey(&s, rk[:])
 	for r := c.rounds - 1; r >= 1; r-- {
 		InvShiftRows(&s)
 		InvSubBytes(&s)
-		AddRoundKey(&s, c.enc[r])
+		rk = c.roundKey(r)
+		AddRoundKey(&s, rk[:])
 		InvMixColumns(&s)
 	}
 	InvShiftRows(&s)
 	InvSubBytes(&s)
-	AddRoundKey(&s, c.enc[0])
+	rk = c.roundKey(0)
+	AddRoundKey(&s, rk[:])
 	copy(dst, s.Bytes())
 }
 

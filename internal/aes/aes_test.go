@@ -6,6 +6,7 @@ import (
 	"crypto/cipher"
 	"encoding/hex"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,42 @@ func TestAgainstStdlibQuick(t *testing.T) {
 		if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("key size %d: %v", ks, err)
 		}
+	}
+}
+
+// TestTableEncryptMatchesState: the round-table Encrypt agrees with the
+// FIPS-197 State composition on 10^4 random (key, block) pairs per key
+// size.
+func TestTableEncryptMatchesState(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var key [32]byte
+	var blk, got, want [BlockSize]byte
+	for _, n := range []int{16, 24, 32} {
+		for i := 0; i < 10000; i++ {
+			rng.Read(key[:n])
+			rng.Read(blk[:])
+			c, _ := NewCipher(key[:n])
+			c.Encrypt(got[:], blk[:])
+			c.encryptState(want[:], blk[:])
+			if got != want {
+				t.Fatalf("AES-%d key %x block %x: table %x, State %x", 8*n, key[:n], blk, got, want)
+			}
+		}
+	}
+}
+
+// TestSelfTest: SelfTest passes on the package as built and names the
+// round-table check when a table is wrong.
+func TestSelfTest(t *testing.T) {
+	if err := SelfTest(8, 1); err != nil {
+		t.Fatal(err)
+	}
+	saved := te3
+	te3 = te2
+	err := SelfTest(8, 1)
+	te3 = saved
+	if err == nil || !strings.Contains(err.Error(), "table Encrypt") {
+		t.Fatalf("SelfTest with a broken round table: %v", err)
 	}
 }
 

@@ -61,3 +61,23 @@ func FuzzGCMOpen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGHASHProduct checks the constant-time GHASH product against the
+// gfbig carry-free reference on arbitrary operands: the first 16 bytes
+// of the input are H, the next 16 are X (zero-padded when short).
+func FuzzGHASHProduct(f *testing.F) {
+	f.Add(make([]byte, 32))
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	f.Add(append([]byte{0x80}, make([]byte, 31)...))
+	f.Add([]byte("0123456789abcdefGHASH-operand-X!"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h, x [BlockSize]byte
+		copy(h[:], data)
+		if len(data) > BlockSize {
+			copy(x[:], data[BlockSize:])
+		}
+		if err := checkGHASH(&h, &x); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"crypto/cipher"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -82,30 +81,81 @@ func TestGCMValidation(t *testing.T) {
 	}
 }
 
-func TestGHASHClmulMatchesShiftReference(t *testing.T) {
-	// The carry-free-product GHASH multiplier (the GF-processor path,
-	// built from the same primitives as the ECC_l wide multiply) must
-	// agree with the canonical shift-and-xor reference on random blocks.
+// TestGHASHProductMatchesClmul: the constant-time Karatsuba GHASH
+// product agrees with the gfbig carry-free reference (mulHClmul) on edge
+// cases of H and X and on 10^4 random pairs.
+func TestGHASHProductMatchesClmul(t *testing.T) {
+	var zero, one, ones, top, low [16]byte
+	one[15] = 1
+	top[0] = 0x80
+	low[15] = 0x80
+	for i := range ones {
+		ones[i] = 0xFF
+	}
+	edges := [][16]byte{zero, one, ones, top, low}
+	for _, h := range edges {
+		for _, x := range edges {
+			if err := checkGHASH(&h, &x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
-	key := make([]byte, 16)
-	rng.Read(key)
-	c, _ := NewCipher(key)
-	g := c.NewGCM()
-	for trial := 0; trial < 200; trial++ {
-		var x [16]byte
+	var h, x [16]byte
+	for trial := 0; trial < 10000; trial++ {
+		rng.Read(h[:])
 		rng.Read(x[:])
-		x0 := binary.BigEndian.Uint64(x[0:8])
-		x1 := binary.BigEndian.Uint64(x[8:16])
-		z0, z1 := g.mulH(x0, x1)
-		var want [16]byte
-		binary.BigEndian.PutUint64(want[0:8], z0)
-		binary.BigEndian.PutUint64(want[8:16], z1)
-		got := g.mulHClmul(x[:])
-		if !bytes.Equal(got, want[:]) {
-			t.Fatalf("trial %d: clmul GHASH %x != reference %x", trial, got, want)
+		if err := checkGHASH(&h, &x); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
+
+// TestGCMAllocs: Seal and Open allocate only their output, and CTR into
+// a caller buffer allocates nothing.
+func TestGCMAllocs(t *testing.T) {
+	c, _ := NewCipher(make([]byte, 16))
+	g := c.NewGCM()
+	nonce := make([]byte, 12)
+	pt := make([]byte, 16<<10)
+	aad := []byte("hdr")
+	sealed, _ := g.Seal(nonce, pt, aad)
+	if n := testing.AllocsPerRun(10, func() { g.Seal(nonce, pt, aad) }); n != 1 {
+		t.Errorf("Seal of 16 KiB: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { g.Open(nonce, sealed, aad) }); n != 1 {
+		t.Errorf("Open of 16 KiB: %v allocs, want 1", n)
+	}
+	iv := make([]byte, 16)
+	dst := make([]byte, len(pt))
+	if n := testing.AllocsPerRun(10, func() { c.EncryptCTR(dst, pt, iv) }); n != 0 {
+		t.Errorf("EncryptCTR: %v allocs, want 0", n)
+	}
+}
+
+func benchmarkGCM16K(b *testing.B, open bool) {
+	c, _ := NewCipher(make([]byte, 16))
+	g := c.NewGCM()
+	nonce := make([]byte, 12)
+	pt := make([]byte, 16<<10)
+	sealed, _ := g.Seal(nonce, pt, nil)
+	b.SetBytes(int64(len(pt)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if open {
+			_, err = g.Open(nonce, sealed, nil)
+		} else {
+			_, err = g.Seal(nonce, pt, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGCMSeal16K(b *testing.B) { benchmarkGCM16K(b, false) }
+func BenchmarkGCMOpen16K(b *testing.B) { benchmarkGCM16K(b, true) }
 
 func TestGHASHReflectRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

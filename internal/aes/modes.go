@@ -1,6 +1,10 @@
 package aes
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Block-cipher modes of operation. The paper's IoT scenario applies AES
 // "on a packet-by-packet basis"; CTR is the natural packet mode (no
@@ -16,24 +20,13 @@ func (c *Cipher) EncryptCTR(dst, src, iv []byte) error {
 	if len(dst) < len(src) {
 		return fmt.Errorf("aes: CTR dst shorter than src")
 	}
-	ctr := append([]byte(nil), iv...)
-	var ks [BlockSize]byte
+	hi, lo := binary.BigEndian.Uint64(iv[0:8]), binary.BigEndian.Uint64(iv[8:16])
 	for off := 0; off < len(src); off += BlockSize {
-		c.Encrypt(ks[:], ctr)
-		n := len(src) - off
-		if n > BlockSize {
-			n = BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ ks[i]
-		}
-		// big-endian increment
-		for i := BlockSize - 1; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] != 0 {
-				break
-			}
-		}
+		k0, k1, k2, k3 := c.encrypt(uint32(hi>>32), uint32(hi), uint32(lo>>32), uint32(lo))
+		xorBlock(dst[off:], src[off:], k0, k1, k2, k3)
+		var carry uint64
+		lo, carry = bits.Add64(lo, 1, 0)
+		hi += carry
 	}
 	return nil
 }

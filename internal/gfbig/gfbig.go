@@ -206,6 +206,27 @@ func Clmul32(a, b uint32) uint64 {
 	return r
 }
 
+// Clmul64Lo returns the low 64 bits of the carry-free product of two
+// 64-bit words in constant time: no branch and no table depends on
+// either operand. Each operand is split into four interleaved
+// sub-words with 3-bit holes between their set bits, and the sixteen
+// integer products are summed per bit class, so the carries land in the
+// holes and are masked off (BearSSL's ctmul64;
+// https://bearssl.org/constanttime.html). In the low 64 bits a column
+// sums at most 15 ones, which fits in its 4-bit slot; only the top
+// column can reach 16, and that carry leaves the word. The high half
+// is Reverse64(Clmul64Lo(Reverse64(x), Reverse64(y))) >> 1.
+func Clmul64Lo(x, y uint64) uint64 {
+	const m0, m1, m2, m3 = 0x1111111111111111, 0x2222222222222222, 0x4444444444444444, 0x8888888888888888
+	x0, x1, x2, x3 := x&m0, x&m1, x&m2, x&m3
+	y0, y1, y2, y3 := y&m0, y&m1, y&m2, y&m3
+	z0 := x0*y0 ^ x1*y3 ^ x2*y2 ^ x3*y1
+	z1 := x0*y1 ^ x1*y0 ^ x2*y3 ^ x3*y2
+	z2 := x0*y2 ^ x1*y1 ^ x2*y0 ^ x3*y3
+	z3 := x0*y3 ^ x1*y2 ^ x2*y1 ^ x3*y0
+	return z0&m0 | z1&m1 | z2&m2 | z3&m3
+}
+
 // MulFull returns the unreduced 2*Words-word carry-free product of a and b
 // by the schoolbook method: Words^2 32x32 partial products, exactly the
 // paper's "Full Product" phase (64 gf32bMult calls for GF(2^233)).

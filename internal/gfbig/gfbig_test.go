@@ -1,6 +1,7 @@
 package gfbig
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,44 @@ func TestClmul32(t *testing.T) {
 	prop := func(a, b uint32) bool { return Clmul32(a, b) == Clmul32(b, a) }
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// clmul64Ref is the 128-bit carry-free product of x and y built from
+// four Clmul32 partial products.
+func clmul64Ref(x, y uint64) (hi, lo uint64) {
+	x0, x1 := uint32(x), uint32(x>>32)
+	y0, y1 := uint32(y), uint32(y>>32)
+	mid := Clmul32(x0, y1) ^ Clmul32(x1, y0)
+	lo = Clmul32(x0, y0) ^ mid<<32
+	hi = Clmul32(x1, y1) ^ mid>>32
+	return hi, lo
+}
+
+// TestClmul64LoMatchesClmul32: the constant-time 64-bit product and its
+// bit-reversed high half agree with the Clmul32 composition on edge
+// cases and random pairs.
+func TestClmul64LoMatchesClmul32(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1 << 63, ^uint64(0), 0x8888888888888888, 0x1111111111111111, 0xDEADBEEFCAFEF00D}
+	check := func(x, y uint64) {
+		t.Helper()
+		wantHi, wantLo := clmul64Ref(x, y)
+		if got := Clmul64Lo(x, y); got != wantLo {
+			t.Fatalf("Clmul64Lo(%#x, %#x) = %#x, want %#x", x, y, got, wantLo)
+		}
+		hi := bits.Reverse64(Clmul64Lo(bits.Reverse64(x), bits.Reverse64(y))) >> 1
+		if hi != wantHi {
+			t.Fatalf("reversed high half of %#x*%#x = %#x, want %#x", x, y, hi, wantHi)
+		}
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 10000; i++ {
+		check(rng.Uint64(), rng.Uint64())
 	}
 }
 

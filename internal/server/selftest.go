@@ -5,7 +5,9 @@ package server
 // multiply fold) is differentially checked against the scalar
 // reference for both fields
 // the server actually computes in — the RS field and the AES field —
-// via gf.VerifyKernels. The check runs once, lazily, the
+// via gf.VerifyKernels, and the AES-GCM fast paths (round-table AES,
+// constant-time GHASH) are checked against their references via
+// aes.SelfTest. The check runs once, lazily, the
 // first time health is probed (gfproxy's health gate therefore admits a
 // backend into the ring only after its datapath has verified), and can
 // be re-run on demand through the /selftest admin endpoint.
@@ -16,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/aes"
 	"repro/internal/gf"
 	"repro/internal/gfbig"
 )
@@ -23,6 +26,9 @@ import (
 // selftestVectors is how many pseudo-random vectors per op each field is
 // checked with. At GF(2^8) one run is a few hundred microseconds.
 const selftestVectors = 8
+
+// aesSelfTestField names the AES-GCM entry of SelfTestResult.Fields.
+const aesSelfTestField = "AES-128/192/256 + GHASH (aes)"
 
 // SelfTestResult reports one differential verification run.
 type SelfTestResult struct {
@@ -85,6 +91,16 @@ func runSelfTest(rsField *gf.Field, eccField *gfbig.Field, seed int64) SelfTestR
 				res.OK = false
 				res.Error = err.Error()
 			}
+		}
+	}
+	// The AES-GCM ops serve from the round-table cipher and the
+	// constant-time GHASH product; check both against their references.
+	res.Fields = append(res.Fields, aesSelfTestField)
+	res.Tiers = append(res.Tiers, "round-table,ghash-ctmul64")
+	if res.OK {
+		if err := aes.SelfTest(selftestVectors, seed); err != nil {
+			res.OK = false
+			res.Error = err.Error()
 		}
 	}
 	// The ECC ops compute in a big binary field with its own

@@ -599,3 +599,22 @@ func TestCompletionOrder(t *testing.T) {
 	}
 	t.Errorf("every rs-encode waited behind the ecdsa-verify submitted before it; response ids %v", orders)
 }
+
+// TestSelfTestCoversAES: the self-test reports the AES-GCM check, which
+// compares the round-table cipher and the GHASH product with their
+// references.
+func TestSelfTestCoversAES(t *testing.T) {
+	res := runSelfTest(gf.AES(), nil, 1)
+	if !res.OK {
+		t.Fatalf("selftest failed: %s", res.Error)
+	}
+	found := false
+	for _, f := range res.Fields {
+		if f == aesSelfTestField {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("selftest fields %v lack the AES entry", res.Fields)
+	}
+}

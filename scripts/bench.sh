@@ -11,26 +11,27 @@
 # Usage:
 #   scripts/bench.sh [out.json] [benchtime] [count]
 #
-# Defaults: out=BENCH_12.json, benchtime=0.5s, count=5. Runs from the
+# Defaults: out=BENCH_16.json, benchtime=0.5s, count=5. Runs from the
 # repo root. The benchmark set covers the bulk GF kernel layer and
 # everything built on it: root RS/GF/pipeline benches (including the
 # batched pipeline variants and the per-kernel-tier GFTier A/B rows:
-# auto, i.e. the static rule, vs forced scalar, table and clmul), the
-# clmul fold-vs-plain bit-syndrome sweep in internal/gf, the per-package
-# Bulk-vs-Scalar pairs in internal/rs, internal/bch, internal/aes and the
+# auto, i.e. the static rule, vs forced scalar, table and clmul; AES per
+# block and GCM seal of 64 B), the clmul fold-vs-plain bit-syndrome sweep
+# in internal/gf, the per-package Bulk-vs-Scalar pairs in internal/rs,
+# internal/bch, internal/aes (plus GCM seal/open of 16 KiB) and the
 # pipeline link chain, plus the wide-field layer: the gfbig full-product
 # strategies (schoolbook/karatsuba) through the allocation-free MulTo
 # path and the ECC engine ops built on it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_12.json}"
+out="${1:-BENCH_16.json}"
 benchtime="${2:-0.5s}"
 count="${3:-5}"
 
-pattern='RSEncode255|RSSyndromes255|RSDecode255|GFKernel|GFMul|GFTier|PipelineRS255_239'
+pattern='RSEncode255|RSSyndromes255|RSDecode255|GFKernel|GFMul|GFTier|PipelineRS255_239|AESEncryptGo|GCMSeal'
 gf_pattern='BitSyndromeFoldSweep'
-pkg_pattern='Bulk|Scalar|DecodeTo255|Syndromes63|MixColumns|LinkStages'
+pkg_pattern='Bulk|Scalar|DecodeTo255|Syndromes63|MixColumns|GCMSeal16K|GCMOpen16K|LinkStages'
 ecc_pattern='MulToStrategies|InvTo|ECDHDerive|ECDSASign|ECDSAVerify'
 
 raw="$(mktemp)"
